@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..graph import sorted_unique
 from ..tensor import (ACCUM_DTYPE, Tensor, clip, gather_rows, log, pair_dot,
                       sigmoid, square_norm)
 from ..tensor import workspace as _ws
@@ -202,8 +203,8 @@ def _edge_codes(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
     hit = _EDGE_CODE_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    codes = np.unique(edge_index[0].astype(np.int64) * num_nodes
-                      + edge_index[1])
+    codes = sorted_unique(edge_index[0].astype(np.int64) * num_nodes
+                          + edge_index[1])
     if len(_EDGE_CODE_CACHE) >= _EDGE_CODE_CAPACITY:
         _EDGE_CODE_CACHE.pop(next(iter(_EDGE_CODE_CACHE)))
     _EDGE_CODE_CACHE[key] = (edge_index, codes)

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..tensor.random import make_rng
 
-from ..graph import Graph, largest_component
+from ..graph import Graph, largest_component, sorted_unique
 
 #: ``method="auto"`` uses the legacy per-pair sampler (bitwise-stable
 #: datasets) below this node count and the streaming sampler above it.
@@ -255,7 +255,7 @@ def _weighted_distinct_pairs(count: int, mem_a: np.ndarray, wa: np.ndarray,
             keys = lo[keep] * encode + hi[keep]
         else:
             keys = i * encode + j
-        chosen = np.unique(np.concatenate([chosen, keys]))
+        chosen = sorted_unique(np.concatenate([chosen, keys]))
     return chosen // encode, chosen % encode
 
 

@@ -6,14 +6,14 @@ from .algorithms import (adjacency_lists, bfs_distances, connected_components,
                          is_connected, k_hop_reachability, largest_component,
                          triangle_count)
 from .cache import BatchStructureCache, StructureCache
-from .csc import CSCGraph, SampledSubgraph, csc_cache_stats
+from .csc import CSCGraph, SampledSubgraph, csc_cache_stats, sorted_unique
 from .normalize import (degree_features, gcn_edge_weight_parts,
                         gcn_normalization, normalize_edges,
                         row_normalize_features)
 
 __all__ = [
     "Graph", "GraphBatch", "BatchStructureCache", "StructureCache",
-    "CSCGraph", "SampledSubgraph", "csc_cache_stats",
+    "CSCGraph", "SampledSubgraph", "csc_cache_stats", "sorted_unique",
     "adjacency_lists", "bfs_distances", "connected_components",
     "is_connected", "k_hop_reachability", "largest_component",
     "triangle_count",

@@ -502,7 +502,7 @@ class ShardedTrainer:
                                   assignment, trainer=self._inner)
             stepper = _SerialStepper(runner, comm)
 
-        start = time.time()
+        start = time.perf_counter()
         epochs_run = 0
         step = 0
         lanes = None
@@ -511,7 +511,7 @@ class ShardedTrainer:
             with scope, default_dtype(cfg.dtype):
                 for epoch in range(cfg.epochs):
                     epochs_run = epoch + 1
-                    epoch_start = time.time()
+                    epoch_start = time.perf_counter()
                     stepper.start_epoch(epoch)
                     for t in range(assignment.steps_per_epoch):
                         stepper.collect(t)
@@ -533,7 +533,7 @@ class ShardedTrainer:
                         val_acc = self.evaluate(model, dataset,
                                                 dataset.val_index)
                     history.append(val_acc)
-                    epoch_seconds.append(time.time() - epoch_start)
+                    epoch_seconds.append(time.perf_counter() - epoch_start)
                     if profiler:
                         profiler.end_epoch()
                     if cfg.verbose:
@@ -549,7 +549,7 @@ class ShardedTrainer:
             comm.close()
             comm.unlink()
 
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         stopper.restore(model)
         # Fold the workers' private cache counters into the trainer's
         # view, and their phase seconds into this run's profile.  The

@@ -306,7 +306,7 @@ class GraphClassificationTrainer:
         stopper = EarlyStopping(patience=cfg.patience, mode="max")
         history: List[float] = []
         epoch_seconds: List[float] = []
-        start = time.time()
+        start = time.perf_counter()
         epochs_run = 0
         profiler = PhaseTimer() if cfg.profile else None
         scope = profiler.activate() if profiler else contextlib.nullcontext()
@@ -316,7 +316,7 @@ class GraphClassificationTrainer:
         with scope, default_dtype(cfg.dtype):
             for epoch in range(cfg.epochs):
                 epochs_run = epoch + 1
-                epoch_start = time.time()
+                epoch_start = time.perf_counter()
                 model.train()
                 for batch, structure in self._batches(
                         structures, dataset, dataset.train_index, rng=rng):
@@ -330,7 +330,7 @@ class GraphClassificationTrainer:
                 with profile_phase("eval"):
                     val_acc = self.evaluate(model, dataset, dataset.val_index)
                 history.append(val_acc)
-                epoch_seconds.append(time.time() - epoch_start)
+                epoch_seconds.append(time.perf_counter() - epoch_start)
                 if profiler:
                     profiler.end_epoch()
                 if cfg.verbose:
@@ -338,7 +338,7 @@ class GraphClassificationTrainer:
                 if stopper.step(val_acc, model):
                     break
 
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         stopper.restore(model)
         return GraphTrainResult(
             test_accuracy=self.evaluate(model, dataset, dataset.test_index),
@@ -374,7 +374,7 @@ class GraphClassificationTrainer:
         structures = self._structures_for(model, dataset)
         rngs = [rng] + model_rngs(model)
         profiler = PhaseTimer()
-        start = time.time()
+        start = time.perf_counter()
         with profiler.activate(), default_dtype(cfg.dtype):
             for batch, structure in self._batches(
                     structures, dataset, dataset.train_index, rng=rng):
@@ -383,4 +383,4 @@ class GraphClassificationTrainer:
                 with profile_phase("optimizer"):
                     optimizer.step()
             profiler.end_epoch()
-        return time.time() - start, profiler.mean_epoch()
+        return time.perf_counter() - start, profiler.mean_epoch()

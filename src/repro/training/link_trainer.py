@@ -82,7 +82,7 @@ class LinkPredictionTrainer:
                          weight_decay=cfg.weight_decay)
         stopper = EarlyStopping(patience=cfg.patience, mode="max")
         history: List[float] = []
-        start = time.time()
+        start = time.perf_counter()
         epochs_run = 0
         profiler = PhaseTimer() if cfg.profile else None
         scope = profiler.activate() if profiler else contextlib.nullcontext()
@@ -140,6 +140,6 @@ class LinkPredictionTrainer:
             test_auc=roc_auc(test_scores, test_labels),
             val_auc=roc_auc(val_scores, val_labels),
             epochs_run=epochs_run,
-            seconds=time.time() - start,
+            seconds=time.perf_counter() - start,
             history=history,
             phase_seconds=profiler.mean_epoch() if profiler else None)

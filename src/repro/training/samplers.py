@@ -113,8 +113,8 @@ class NeighborSampler:
         if sub.num_edges:
             indeg = np.bincount(sub.edge_index[1],
                                 minlength=sub.num_nodes)
-            np.add.at(self.fanout_hist,
-                      np.minimum(indeg, _HIST_BINS - 1), 1)
+            self.fanout_hist += np.bincount(
+                np.minimum(indeg, _HIST_BINS - 1), minlength=_HIST_BINS)
         return sub
 
     def stats(self) -> Dict:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.graph import CSCGraph, Graph, csc_cache_stats
+from repro.graph import CSCGraph, Graph, csc_cache_stats, sorted_unique
 from repro.graph.csc import SampledSubgraph
 
 
@@ -152,6 +153,158 @@ class TestSampleNeighbors:
         src, dst = csc.sample_neighbors(np.array([0, 3, 5]), 4,
                                         np.random.default_rng(0))
         assert src.size == 0 and dst.size == 0
+
+
+def looped_neighbors(csc: CSCGraph, nodes: np.ndarray):
+    """The per-node loop the batched sampler replaced, in the branches
+    that draw nothing (``fanout=None``, or every degree <= fanout)."""
+    src_parts, dst_parts = [], []
+    for v in np.asarray(nodes, dtype=np.int64):
+        nbrs = csc.indices[csc.indptr[v]:csc.indptr[v + 1]]
+        if nbrs.shape[0] == 0:
+            continue
+        src_parts.append(nbrs)
+        dst_parts.append(np.full(nbrs.shape[0], v, dtype=np.int64))
+    if not src_parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy()
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+
+class CountingRng:
+    """Generator proxy that counts every method call made on it."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def star(degree: int) -> CSCGraph:
+    """Node 0 joined to nodes ``1 .. degree``."""
+    leaves = np.arange(1, degree + 1)
+    hub = np.zeros(degree, dtype=np.int64)
+    edges = np.stack([np.concatenate([leaves, hub]),
+                      np.concatenate([hub, leaves])])
+    return CSCGraph.from_edge_index(edges, degree + 1)
+
+
+def hub_inclusion(csc: CSCGraph, fanout: int, draws: int, seed: int,
+                  weights=None) -> np.ndarray:
+    """Share of ``draws`` samples of node 0 that include each neighbour.
+
+    ``draws`` copies of node 0 in one call are ``draws`` independent
+    samples (one key per candidate edge)."""
+    src, _ = csc.sample_neighbors(np.zeros(draws, dtype=np.int64), fanout,
+                                  np.random.default_rng(seed), weights)
+    nbrs = csc.neighbors(0)
+    assert src.size == draws * fanout
+    return np.bincount(np.searchsorted(nbrs, src),
+                       minlength=nbrs.size) / draws
+
+
+class TestSamplingLaw:
+    """The batched draw keeps the per-node ``Generator.choice`` law."""
+
+    DRAWS = 4000
+
+    def test_uniform_inclusion_is_fanout_over_degree(self):
+        freq = hub_inclusion(star(10), fanout=3, draws=self.DRAWS, seed=0)
+        # Binomial std at p = 0.3 over 4000 draws is 0.0072: 0.04 is 5.5σ.
+        assert np.abs(freq - 3 / 10).max() < 0.04
+
+    def test_weighted_inclusion_matches_choice_reference(self):
+        weights = np.array([0.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.5])
+        fanout = 2
+        freq = hub_inclusion(star(6), fanout, self.DRAWS, seed=1,
+                             weights=weights)
+        p = weights[1:] / weights[1:].sum()
+        rng = np.random.default_rng(2)
+        ref = np.zeros(p.size)
+        for _ in range(self.DRAWS):
+            ref[rng.choice(p.size, size=fanout, replace=False, p=p)] += 1
+        ref /= self.DRAWS
+        # Two independent frequencies differ with std <= sqrt(2 · 0.25 /
+        # 4000) = 0.011, so 0.05 is over 4.5σ.
+        assert np.abs(freq - ref).max() < 0.05
+        # Both follow the exact law of two successive weighted draws:
+        # P(i) = p_i + Σ_{j≠i} p_j · p_i / (1 − p_j).
+        exact = p + p * ((p / (1 - p)).sum() - p / (1 - p))
+        assert np.abs(freq - exact).max() < 0.04
+        assert np.abs(ref - exact).max() < 0.04
+
+    def test_zero_weight_neighbours_drawn_last(self):
+        weights = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        src, _ = star(5).sample_neighbors(np.zeros(50, dtype=np.int64), 3,
+                                          np.random.default_rng(3), weights)
+        # Each sample keeps both positive-weight leaves, then one more.
+        for row in src.reshape(50, 3).tolist():
+            assert {1, 2} <= set(row)
+
+
+class TestRngConsumption:
+    def test_one_draw_per_hop_not_per_node(self):
+        edges = random_symmetric_graph(400, 4000, seed=14)
+        csc = CSCGraph.from_edge_index(edges, 400)
+        assert (csc.degrees() > 4).sum() > 50
+        rng = CountingRng(0)
+        sub = csc.ego_net(np.arange(0, 400, 5), radius=3, fanout=4, rng=rng)
+        assert sub.num_nodes > 100
+        assert 1 <= rng.calls <= 3
+
+    def test_no_draws_without_a_choice(self):
+        edges = random_symmetric_graph(60, 200, seed=15)
+        csc = CSCGraph.from_edge_index(edges, 60)
+        rng = CountingRng(0)
+        csc.ego_net(np.arange(10), radius=2, fanout=None, rng=rng)
+        csc.sample_neighbors(np.arange(60), int(csc.degrees().max()), rng)
+        assert rng.calls == 0
+
+    @pytest.mark.parametrize("seed", [16, 17])
+    def test_unsampled_output_bitwise_equals_per_node_loop(self, seed):
+        edges = random_symmetric_graph(70, 250, seed=seed)
+        csc = CSCGraph.from_edge_index(edges, 70)
+        order = np.random.default_rng(seed).permutation(70)
+        for fanout in (None, int(csc.degrees().max())):
+            for nodes in (np.concatenate([order, order[:9]]), order[:0],
+                          np.array([69, 0, 69])):
+                got = csc.sample_neighbors(nodes, fanout,
+                                           np.random.default_rng(0))
+                want = looped_neighbors(csc, nodes)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    assert np.array_equal(g, w)
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**40, 2**40), max_size=60))
+    def test_equals_np_unique(self, values):
+        arr = np.array(values, dtype=np.int64)
+        got = sorted_unique(arr)
+        assert got.dtype == arr.dtype
+        assert np.array_equal(got, np.unique(arr))
+
+    @pytest.mark.parametrize("values", [
+        [], [7], [-3], [5, 5, 5, 5], [-1, -1, 0, -1], [3, -2, 3, -2, 9]])
+    def test_edge_cases(self, values):
+        arr = np.array(values, dtype=np.int64)
+        got = sorted_unique(arr)
+        assert got.dtype == arr.dtype
+        assert np.array_equal(got, np.unique(arr))
+
+    def test_flattens_like_np_unique(self):
+        arr = np.array([[4, 1], [1, 4]], dtype=np.int64)
+        assert np.array_equal(sorted_unique(arr), np.unique(arr))
 
 
 class TestEgoNet:

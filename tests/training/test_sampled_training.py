@@ -102,6 +102,57 @@ class TestCountersAndResult:
         assert stats["score_max"] > stats["score_mean"] > 0
         assert result.test_accuracy >= 0.5
 
+    def test_validation_egonets_drawn_once_per_fit(self, cora, monkeypatch):
+        import repro.training.node_trainer as node_trainer
+        from repro.graph import CSCGraph
+        original = CSCGraph.ego_net
+        calls = []
+
+        def counted(csc, seeds, *args, **kwargs):
+            calls.append(len(seeds))
+            return original(csc, seeds, *args, **kwargs)
+        monkeypatch.setattr(CSCGraph, "ego_net", counted)
+        epochs, steps = 4, 2
+        train_calls = epochs * steps
+        val_batches = -(-cora.splits.val.size // 128)
+        test_batches = -(-cora.splits.test.size // 128)
+        kept = fit(cora, epochs=epochs, max_steps_per_epoch=steps)
+        assert len(calls) == train_calls + val_batches + test_batches
+        # Past the memo budget (here zero) validation redraws every epoch
+        # and once more after training, from the same streams: memory is
+        # bounded and results do not change.
+        calls.clear()
+        monkeypatch.setattr(node_trainer, "SAMPLED_EVAL_MEMO_BYTES", 0)
+        redrawn = fit(cora, epochs=epochs, max_steps_per_epoch=steps)
+        assert len(calls) == (train_calls + (epochs + 1) * val_batches
+                              + test_batches)
+        assert redrawn.history == kept.history
+        assert redrawn.test_accuracy == kept.test_accuracy
+        assert redrawn.val_accuracy == kept.val_accuracy
+        # A budget holding only the first batch keeps that one and
+        # redraws the rest.
+        first = original(CSCGraph.from_graph(cora.graph),
+                         np.asarray(cora.splits.val[:128]), radius=2,
+                         fanout=None, rng=eval_rng(0, 0))
+        calls.clear()
+        monkeypatch.setattr(node_trainer, "SAMPLED_EVAL_MEMO_BYTES",
+                            first.nbytes)
+        partial = fit(cora, epochs=epochs, max_steps_per_epoch=steps)
+        assert len(calls) == (train_calls + 1
+                              + (epochs + 1) * (val_batches - 1)
+                              + test_batches)
+        assert partial.history == kept.history
+
+    def test_fanout_histogram_counts_sampled_indegrees(self, cora):
+        from repro.graph import CSCGraph
+        sampler = UniformNeighborSampler(5, 2)
+        csc = CSCGraph.from_graph(cora.graph)
+        sub = sampler.sample(csc, np.arange(64), minibatch_rng(0, 0, 0))
+        indeg = np.bincount(sub.edge_index[1], minlength=sub.num_nodes)
+        expect = np.zeros_like(sampler.fanout_hist)
+        np.add.at(expect, np.minimum(indeg, expect.size - 1), 1)
+        assert np.array_equal(sampler.fanout_hist, expect)
+
     def test_adamgnn_trains_on_sampled_subgraphs(self, cora):
         features = prepare_node_features(cora)
         model = make_node_classifier("adamgnn", features.shape[1],
