@@ -35,7 +35,7 @@ from repro.training.graph_trainer import (GraphClassificationTrainer,
                                           _model_forward)
 
 from .bench_table4_epoch_time import _current_commit, _environment
-from .common import emit, is_smoke
+from .common import emit, is_smoke, output_path
 
 INFERENCE_JSON = Path(__file__).resolve().parent.parent \
     / "BENCH_inference.json"
@@ -170,7 +170,8 @@ def generate_inference_benchmark() -> str:
             **predictor.stats(),
         },
     }
-    INFERENCE_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    output_path(INFERENCE_JSON).write_text(
+        json.dumps(payload, indent=2) + "\n")
 
     lines = [
         f"training-mode forward: p50 {a_summary['p50_ms']:7.2f} ms   "
@@ -198,7 +199,7 @@ def test_inference_throughput(benchmark):
                                iterations=1)
     emit("Inference: serving throughput vs training-mode forward", table)
     assert table
-    payload = json.loads(INFERENCE_JSON.read_text())
+    payload = json.loads(output_path(INFERENCE_JSON).read_text())
     assert payload["parity"]["float32_bitwise"] is True
     assert payload["parity"]["float64_naive_bitwise"] is True
     assert payload["workspace"]["steady_state_new_allocations"] == 0

@@ -47,7 +47,7 @@ from repro.training.node_trainer import (NodeClassificationTrainer,
                                          prepare_node_features)
 
 from .common import (bench_environment, current_commit, emit, is_smoke,
-                     run_isolated)
+                     output_path, run_isolated)
 
 NODE_SCALING_JSON = Path(__file__).resolve().parent.parent \
     / "BENCH_node_scaling.json"
@@ -224,10 +224,10 @@ def generate_node_scaling() -> str:
                    **parity},
     }
 
+    path = output_path(NODE_SCALING_JSON)
     history = []
-    if NODE_SCALING_JSON.exists():
-        history = json.loads(
-            NODE_SCALING_JSON.read_text()).get("history", [])
+    if path.exists():
+        history = json.loads(path.read_text()).get("history", [])
     entry = {"commit": current_commit(),
              "scope": payload["protocol"]["scope"],
              "per_step_seconds": {
@@ -242,7 +242,7 @@ def generate_node_scaling() -> str:
     else:
         history.append(entry)
     payload["history"] = history
-    NODE_SCALING_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
     header = (f"{'nodes':>10} {'edges':>10} {'gen s':>8} {'gen MB':>8} "
               f"{'epoch s':>8} {'s/step':>8} {'train MB':>9} {'test acc':>9}")
@@ -272,8 +272,8 @@ def test_node_scaling(benchmark):
                                iterations=1)
     emit("Node scaling: streamed SBM + sampled minibatch training", table)
     assert table
-    assert NODE_SCALING_JSON.exists()
-    data = json.loads(NODE_SCALING_JSON.read_text())
+    assert output_path(NODE_SCALING_JSON).exists()
+    data = json.loads(output_path(NODE_SCALING_JSON).read_text())
     records = data["sizes"]
 
     # Epoch cost tracks the minibatch count, not the node count: per-step

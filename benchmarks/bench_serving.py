@@ -39,7 +39,7 @@ from repro.training import TrainConfig
 from repro.training.experiment import make_graph_classifier
 
 from .bench_table4_epoch_time import _current_commit, _environment
-from .common import emit, is_smoke
+from .common import emit, is_smoke, output_path
 
 SERVING_JSON = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 INFERENCE_JSON = Path(__file__).resolve().parent.parent \
@@ -287,7 +287,8 @@ def generate_serving_benchmark() -> str:
         "open_loop": points,
         "acceptance": acceptance,
     }
-    SERVING_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    output_path(SERVING_JSON).write_text(
+        json.dumps(payload, indent=2) + "\n")
 
     lines = [
         f"closed loop  direct: p50 {closed['direct_predictor']['p50_ms']:7.2f} ms "
@@ -324,7 +325,7 @@ def test_serving_throughput(benchmark):
                                iterations=1)
     emit("Serving: open-loop throughput and admission control", table)
     assert table
-    payload = json.loads(SERVING_JSON.read_text())
+    payload = json.loads(output_path(SERVING_JSON).read_text())
     for point in payload["open_loop"]:
         assert point["completed"] + point["shed"] == point["offered"]
         assert point["completed"] > 0

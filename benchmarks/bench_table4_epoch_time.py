@@ -33,7 +33,7 @@ import pytest
 
 from repro.analysis import (assert_unpatched, sanitize, sanitizer_paused)
 from repro.datasets import load_graph_dataset, load_node_dataset
-from repro.tensor import Tensor, get_num_workers, serial_execution
+from repro.tensor import Tensor
 from repro.training import TrainConfig
 from repro.training.experiment import (make_graph_classifier,
                                        make_node_classifier)
@@ -42,7 +42,7 @@ from repro.training.node_trainer import (NodeClassificationTrainer,
                                          prepare_node_features)
 
 from .common import (PAPER_TABLE4, bench_environment, comparison_table,
-                     current_commit, emit, is_smoke)
+                     current_commit, emit, is_smoke, output_path)
 
 MODELS = ("diffpool", "sagpool", "topkpool", "structpool", "adamgnn")
 DATASETS = ("nci1", "nci109", "proteins")
@@ -137,14 +137,23 @@ _environment = bench_environment
 _current_commit = current_commit
 
 
+def _load_json() -> dict:
+    """This scope's ``BENCH_graph_epoch.json`` (``{}`` when absent)."""
+    path = output_path(GRAPH_EPOCH_JSON)
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def _save_json(contents: dict) -> None:
+    output_path(GRAPH_EPOCH_JSON).write_text(
+        json.dumps(contents, indent=2) + "\n")
+
+
 def _merge_into_json(section: str, payload: dict) -> None:
     """Update one top-level section of ``BENCH_graph_epoch.json`` in place,
     preserving whatever the other benchmark sections recorded."""
-    existing = {}
-    if GRAPH_EPOCH_JSON.exists():
-        existing = json.loads(GRAPH_EPOCH_JSON.read_text())
+    existing = _load_json()
     existing[section] = payload
-    GRAPH_EPOCH_JSON.write_text(json.dumps(existing, indent=2) + "\n")
+    _save_json(existing)
 
 
 def generate_graph_epoch_benchmark() -> str:
@@ -202,8 +211,8 @@ def generate_graph_epoch_benchmark() -> str:
     history = [{"commit": GRAPH_EPOCH_BASELINE["commit"],
                 "median_epoch_ms": GRAPH_EPOCH_BASELINE["median_epoch_ms"],
                 "dtype": "float64"}]
-    if GRAPH_EPOCH_JSON.exists():
-        prior = json.loads(GRAPH_EPOCH_JSON.read_text())
+    prior = _load_json()
+    if prior:
         for section in ("precision_ab", "sanitizer_ab", "capture_ab",
                         "dp_scaling"):
             if section in prior:
@@ -217,7 +226,7 @@ def generate_graph_epoch_benchmark() -> str:
     else:
         history.append(entry)
     payload["history"] = history
-    GRAPH_EPOCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    _save_json(payload)
 
     lines = [
         f"baseline ({GRAPH_EPOCH_BASELINE['commit']}): "
@@ -243,10 +252,8 @@ def generate_graph_epoch_benchmark() -> str:
 def generate_precision_ab() -> str:
     """Interleaved float32-vs-float64 A/B on the steady PROTEINS epoch.
 
-    Both arms run the same seeded workload; the float32 arm uses the
-    default compute path (chunk-parallel where the machine has cores to
-    spare), the float64 arm runs under ``serial_execution()`` — i.e. the
-    pre-policy reference configuration.  Rounds alternate between the two
+    Both arms run the same seeded workload through the same kernels; only
+    the compute dtype differs.  Rounds alternate between the two
     arms so the machine's wall-clock drift hits both equally, and the
     paired per-round ratio is the headline figure.  Medians land in the
     ``precision_ab`` section of ``BENCH_graph_epoch.json``.
@@ -264,24 +271,19 @@ def generate_precision_ab() -> str:
             "round_medians": [],
         }
 
-    def epoch_ms(arm, dtype):
-        if dtype == "float64":
-            with serial_execution():
-                seconds, _ = arm["trainer"].profile_one_epoch(
-                    arm["model"], data)
-        else:
-            seconds, _ = arm["trainer"].profile_one_epoch(arm["model"], data)
+    def epoch_ms(arm):
+        seconds, _ = arm["trainer"].profile_one_epoch(arm["model"], data)
         return seconds * 1000.0
 
     # Warm both arms: the cold epoch pays the one-off structure
     # precomputation and cache builds and belongs to neither measurement.
-    for dtype, arm in arms.items():
-        epoch_ms(arm, dtype)
+    for arm in arms.values():
+        epoch_ms(arm)
 
     for _ in range(rounds):
-        for dtype, arm in arms.items():
+        for arm in arms.values():
             arm["round_medians"].append(statistics.median(
-                epoch_ms(arm, dtype) for _ in range(epochs_per_round)))
+                epoch_ms(arm) for _ in range(epochs_per_round)))
 
     m32 = statistics.median(arms["float32"]["round_medians"])
     m64 = statistics.median(arms["float64"]["round_medians"])
@@ -291,8 +293,7 @@ def generate_precision_ab() -> str:
         "environment": _environment("float32 vs float64"),
         "protocol": (f"interleaved A/B, {rounds} rounds, median of "
                      f"{epochs_per_round} steady epochs per round per arm "
-                     f"(cold epoch excluded); float64 arm under "
-                     f"serial_execution(); smoke={is_smoke()}"),
+                     f"(cold epoch excluded); smoke={is_smoke()}"),
         "float32_round_medians_ms": [round(v, 1) for v in
                                      arms["float32"]["round_medians"]],
         "float64_round_medians_ms": [round(v, 1) for v in
@@ -305,13 +306,13 @@ def generate_precision_ab() -> str:
     _merge_into_json("precision_ab", payload)
 
     lines = [
-        f"float64 serial:        {m64:8.1f} ms/epoch  "
+        f"float64:         {m64:8.1f} ms/epoch  "
         f"rounds {payload['float64_round_medians_ms']}",
-        f"float32 chunk-parallel:{m32:8.1f} ms/epoch  "
+        f"float32:         {m32:8.1f} ms/epoch  "
         f"rounds {payload['float32_round_medians_ms']}",
-        f"float32 speedup:       {m64 / m32:8.2f}x  "
+        f"float32 speedup: {m64 / m32:8.2f}x  "
         f"(paired per round: {payload['paired_round_speedups']})",
-        f"kernel workers: {get_num_workers()}, cpus: {os.cpu_count()}",
+        f"cpus: {os.cpu_count()}",
         f"\nmachine-readable copy: {GRAPH_EPOCH_JSON.name} (precision_ab)",
     ]
     return "\n".join(lines)
@@ -444,7 +445,7 @@ def generate_capture_ab() -> str:
 
     # Extend the per-commit trajectory with the captured-arm figure so
     # the history reads as "what a default (capture-on) epoch costs".
-    contents = json.loads(GRAPH_EPOCH_JSON.read_text())
+    contents = _load_json()
     history = contents.setdefault("history", [])
     entry = {"commit": _current_commit(), "median_epoch_ms": round(on_ms, 1),
              "dtype": arms["on"]["trainer"].config.dtype, "capture": True}
@@ -453,7 +454,7 @@ def generate_capture_ab() -> str:
         history[-1] = entry
     else:
         history.append(entry)
-    GRAPH_EPOCH_JSON.write_text(json.dumps(contents, indent=2) + "\n")
+    _save_json(contents)
 
     lines = [
         f"capture off:           {off_ms:8.1f} ms/epoch  "
@@ -647,7 +648,7 @@ def generate_dp_scaling() -> str:
     # Extend the per-commit trajectory with the widest dp arm so the
     # history records what a maximally parallel epoch costs here.
     top = max(procs_sweep)
-    contents = json.loads(GRAPH_EPOCH_JSON.read_text())
+    contents = _load_json()
     history = contents.setdefault("history", [])
     entry = {"commit": _current_commit(),
              "median_epoch_ms": round(medians[f"dp{top}"], 1),
@@ -657,7 +658,7 @@ def generate_dp_scaling() -> str:
         history[-1] = entry
     else:
         history.append(entry)
-    GRAPH_EPOCH_JSON.write_text(json.dumps(contents, indent=2) + "\n")
+    _save_json(contents)
 
     lines = [f"plain serial:          {medians['plain']:8.1f} ms/epoch  "
              f"rounds {payload['round_medians_ms']['plain']}"]
@@ -685,8 +686,8 @@ def test_graph_epoch_dp_scaling(benchmark):
     table = benchmark.pedantic(generate_dp_scaling, rounds=1, iterations=1)
     emit("Table 4 (supplement): data-parallel scaling sweep", table)
     assert table
-    assert GRAPH_EPOCH_JSON.exists()
-    section = json.loads(GRAPH_EPOCH_JSON.read_text())["dp_scaling"]
+    assert output_path(GRAPH_EPOCH_JSON).exists()
+    section = _load_json()["dp_scaling"]
     assert section["sharding"]["dp2"]["comm_bytes"] > 0
     if not is_smoke():
         if (os.cpu_count() or 1) >= 4:
@@ -705,8 +706,8 @@ def test_graph_epoch_sanitizer_ab(benchmark):
                                iterations=1)
     emit("Table 4 (supplement): sanitizer on/off steady epoch", table)
     assert table
-    assert GRAPH_EPOCH_JSON.exists()
-    section = json.loads(GRAPH_EPOCH_JSON.read_text())["sanitizer_ab"]
+    assert output_path(GRAPH_EPOCH_JSON).exists()
+    section = _load_json()["sanitizer_ab"]
     assert section["zero_cost_off"] is True
 
 
@@ -716,8 +717,8 @@ def test_graph_epoch_capture_ab(benchmark):
                                iterations=1)
     emit("Table 4 (supplement): capture off/on steady epoch", table)
     assert table
-    assert GRAPH_EPOCH_JSON.exists()
-    section = json.loads(GRAPH_EPOCH_JSON.read_text())["capture_ab"]
+    assert output_path(GRAPH_EPOCH_JSON).exists()
+    section = _load_json()["capture_ab"]
     assert section["capture_stats"]["fallbacks"] == 0
     # 0 in the common case; a selection-drift size-class crossing after
     # the settle loop may add O(1) buffers across all measured epochs.
@@ -730,7 +731,7 @@ def test_graph_epoch_precision_ab(benchmark):
                                iterations=1)
     emit("Table 4 (supplement): float32 vs float64 steady epoch", table)
     assert table
-    assert GRAPH_EPOCH_JSON.exists()
+    assert output_path(GRAPH_EPOCH_JSON).exists()
 
 
 @pytest.mark.benchmark(group="table4")
@@ -739,7 +740,7 @@ def test_graph_epoch_steady_state(benchmark):
                                iterations=1)
     emit("Table 4 (supplement): graph-classification steady epoch", table)
     assert table
-    assert GRAPH_EPOCH_JSON.exists()
+    assert output_path(GRAPH_EPOCH_JSON).exists()
 
 
 @pytest.mark.benchmark(group="table4")

@@ -15,7 +15,10 @@ also persisted to disk.
 
 Scope control: set ``REPRO_BENCH_SCOPE=smoke`` to shrink every bench to a
 seconds-long sanity pass (used by CI); the default ``full`` scope runs the
-complete grids (~30–45 minutes total on a laptop CPU).
+complete grids (~30–45 minutes total on a laptop CPU).  Every result file
+a bench writes goes through :func:`output_path`, so smoke runs land in
+the gitignored ``benchmarks/results/smoke/`` and never overwrite the
+committed full-scope results.
 """
 
 from __future__ import annotations
@@ -29,11 +32,9 @@ from typing import Dict, Sequence
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Environment knobs that change what a wall-clock number means.  BLAS
-#: thread counts matter because the fused kernels lean on matmul; the
-#: kernel worker count is the chunk-parallel executor's pool size.
-THREAD_ENV_KEYS = ("REPRO_NUM_WORKERS", "OMP_NUM_THREADS",
-                   "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                   "NUMEXPR_NUM_THREADS")
+#: thread counts matter because the fused kernels lean on matmul.
+THREAD_ENV_KEYS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 #: Data-parallel knobs: process count routing ``fit`` through the sharded
 #: trainer, and the multiprocessing start-method override.
@@ -43,15 +44,13 @@ DP_ENV_KEYS = ("REPRO_DP_PROCS", "REPRO_DP_START_METHOD")
 def bench_environment(dtype: str, **extra) -> dict:
     """Precision/parallelism context for a recorded measurement.
 
-    Records the compute dtype, the kernel pool configuration, the BLAS
-    thread environment and the data-parallel knobs; benches measuring a
-    sharded run pass run-scoped facts (shard count, comm segment bytes,
-    effective process count) through ``extra``.
+    Records the compute dtype, the CPU count, the BLAS thread environment
+    and the data-parallel knobs; benches measuring a sharded run pass
+    run-scoped facts (shard count, comm segment bytes, effective process
+    count) through ``extra``.
     """
-    from repro.tensor import get_num_workers
     env = {
         "dtype": dtype,
-        "kernel_workers": get_num_workers(),
         "cpu_count": os.cpu_count(),
         "thread_env": {key: os.environ.get(key)
                        for key in THREAD_ENV_KEYS},
@@ -230,6 +229,20 @@ def is_smoke() -> bool:
     return bench_scope() == "smoke"
 
 
+def output_path(committed: Path) -> Path:
+    """Where a bench writes the result file ``committed``.
+
+    Full scope returns ``committed`` itself.  Smoke scope returns a file
+    of the same name under ``RESULTS_DIR / "smoke"``, which git ignores,
+    so a seconds-long sanity pass never overwrites a committed full-scope
+    result.  The returned file's directory exists.
+    """
+    path = (RESULTS_DIR / "smoke" / committed.name if is_smoke()
+            else committed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 #: Set by the benchmarks conftest to pytest's capfd fixture, letting
 #: :func:`emit` print through the fd-level capture.
 CAPTURE_CONTROL = None
@@ -248,9 +261,8 @@ def emit(name: str, text: str) -> None:
             write()
     else:
         write()
-    RESULTS_DIR.mkdir(exist_ok=True)
     safe = name.lower().replace(" ", "_").replace("/", "-")
-    (RESULTS_DIR / f"{safe}.txt").write_text(text + "\n")
+    output_path(RESULTS_DIR / f"{safe}.txt").write_text(text + "\n")
 
 
 def comparison_table(rows: Dict[str, Dict[str, float]],

@@ -8,9 +8,6 @@ from .workspace import (Workspace, active_workspace, training_arena_active,
 from .tape import TapeInvalid, TrainingTape, active_tape
 from .precision import (ACCUM_DTYPE, default_dtype, get_default_dtype,
                         resolve_dtype, set_default_dtype)
-from ._parallel import (PARALLEL_MIN_ROWS, chunk_plan, get_num_workers,
-                        num_workers, parallel_enabled, serial_execution,
-                        set_num_workers)
 from .ops import (absolute, affine, clip, concat, dropout, elu, exp,
                   gather_rows, leaky_relu, leaky_relu_project, log,
                   log_softmax, matmul,
@@ -35,8 +32,6 @@ __all__ = [
     "TapeInvalid", "TrainingTape", "active_tape",
     "ACCUM_DTYPE", "default_dtype", "get_default_dtype", "resolve_dtype",
     "set_default_dtype",
-    "PARALLEL_MIN_ROWS", "chunk_plan", "get_num_workers", "num_workers",
-    "parallel_enabled", "serial_execution", "set_num_workers",
     "absolute", "affine", "clip", "concat", "dropout", "elu", "exp",
     "gather_rows",
     "leaky_relu", "leaky_relu_project", "log", "log_softmax",
@@ -52,3 +47,12 @@ __all__ = [
     "tolerances_for",
     "draw_normal", "draw_uniform", "make_rng", "spawn",
 ]
+
+
+def get_num_workers() -> int:
+    """Always 1: every kernel runs unchunked on the calling thread.
+
+    Kept only because ``benchmarks/suite/run.py`` imports it and prints
+    the value as "kernel workers"; nothing in the library calls it.
+    """
+    return 1

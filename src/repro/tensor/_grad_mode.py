@@ -13,9 +13,7 @@ The flag is **thread-local**: the serving front end
 workers on their own threads, each entering ``no_grad()`` around its own
 forward, and one worker's mode must never leak into another thread (or
 into a training loop on the main thread).  Each thread starts in the
-default grad-on state.  The chunk-parallel executor
-(:mod:`repro.tensor._parallel`) is unaffected — its workers run raw NumPy
-block functions, never Tensor ops.
+default grad-on state.
 """
 
 from __future__ import annotations

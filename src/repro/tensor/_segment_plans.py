@@ -29,7 +29,6 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import _parallel
 from . import workspace as _ws
 
 try:  # pragma: no cover - import guard for scipy internals
@@ -180,26 +179,9 @@ class SegmentReductionPlan:
         # np.zeros.
         out = _ws.ws_zeros((self.num_segments, dense.shape[1]), dtype)
         n_rows, n_vecs = dense.shape
-        plan = _parallel.chunk_plan(self.num_segments)
-        if plan is None:
-            _sptools.csr_matvecs(self.num_segments, n_rows, n_vecs,
-                                 indptr, indices, data,
-                                 dense.ravel(), out.ravel())
-            return out
-
-        flat = dense.ravel()
-
-        def block(start: int, stop: int) -> None:
-            # Output rows are independent dot products, so splitting by
-            # output row block is bitwise identical to the full call.
-            base = indptr[start]
-            _sptools.csr_matvecs(stop - start, n_rows, n_vecs,
-                                 indptr[start:stop + 1] - base,
-                                 indices[base:indptr[stop]],
-                                 data[base:indptr[stop]],
-                                 flat, out[start:stop].ravel())
-
-        _parallel.run_chunked(block, plan)
+        _sptools.csr_matvecs(self.num_segments, n_rows, n_vecs,
+                             indptr, indices, data,
+                             dense.ravel(), out.ravel())
         return out
 
     def sum(self, values: np.ndarray,

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from . import _grad_mode as _grad
-from . import _parallel
 from . import _segment_plans as _plans
 from . import workspace as _ws
 from .precision import ACCUM_DTYPE
@@ -159,26 +158,12 @@ def leaky_relu_project(x: ArrayLike, a: Tensor,
     a = _as_tensor(a)
     if not _plans.fast_kernels_enabled():
         return leaky_relu(x, negative_slope=negative_slope) @ a
-    plan = (_parallel.chunk_plan(x.data.shape[0])
-            if x.data.ndim == 2 else None)
     act = _ws.ws_empty(x.data.shape, x.data.dtype)
     out_shape = ((x.data.shape[0],) if a.data.ndim == 1
                  else (x.data.shape[0], a.data.shape[1]))
     out_dtype = np.result_type(x.data, a.data)
-    if plan is None:
-        np.maximum(x.data, negative_slope * x.data, out=act)
-        out_data = np.matmul(act, a.data, out=_ws.ws_out(out_shape,
-                                                         out_dtype))
-    else:
-        out_data = _ws.ws_empty(out_shape, out_dtype)
-
-        def forward_block(start: int, stop: int) -> None:
-            blk = act[start:stop]
-            np.multiply(x.data[start:stop], negative_slope, out=blk)
-            np.maximum(x.data[start:stop], blk, out=blk)
-            out_data[start:stop] = blk @ a.data
-
-        _parallel.run_chunked(forward_block, plan)
+    np.maximum(x.data, negative_slope * x.data, out=act)
+    out_data = np.matmul(act, a.data, out=_ws.ws_out(out_shape, out_dtype))
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -186,39 +171,19 @@ def leaky_relu_project(x: ArrayLike, a: Tensor,
             # operands would materialise a float64 (n, d) factor and run
             # the multiply off the float32 fast path, doubling the memory
             # traffic of the hottest backward in the attention stack.
-            dt = x.data.dtype.type
-            slope = dt(negative_slope)
-            if plan is None:
-                gact = _ws.ws_empty(x.data.shape,
-                                    np.result_type(grad, a.data))
-                if a.data.ndim == 1:
-                    np.multiply(grad[:, None], a.data[None, :], out=gact)
-                else:
-                    np.matmul(grad, a.data.T, out=gact)
-                # Masked in-place scale instead of multiplying by a dense
-                # where(mask, 1, slope) factor: the positive entries need
-                # no touch at all (x·1 is bitwise x), so this runs one
-                # selective pass instead of materialising an (n, d)
-                # factor and streaming it through a full multiply.
-                np.multiply(gact, slope, out=gact, where=x.data <= 0)
-                x._accumulate(gact)
+            slope = x.data.dtype.type(negative_slope)
+            gact = _ws.ws_empty(x.data.shape, np.result_type(grad, a.data))
+            if a.data.ndim == 1:
+                np.multiply(grad[:, None], a.data[None, :], out=gact)
             else:
-                gact = _ws.ws_empty(x.data.shape,
-                                    np.result_type(grad, a.data))
-                at = a.data if a.data.ndim == 1 else a.data.T
-
-                def backward_block(start: int, stop: int) -> None:
-                    blk = gact[start:stop]
-                    if a.data.ndim == 1:
-                        np.multiply(grad[start:stop, None], at[None, :],
-                                    out=blk)
-                    else:
-                        np.matmul(grad[start:stop], at, out=blk)
-                    np.multiply(blk, slope, out=blk,
-                                where=x.data[start:stop] <= 0)
-
-                _parallel.run_chunked(backward_block, plan)
-                x._accumulate(gact)
+                np.matmul(grad, a.data.T, out=gact)
+            # Masked in-place scale instead of multiplying by a dense
+            # where(mask, 1, slope) factor: the positive entries need
+            # no touch at all (x·1 is bitwise x), so this runs one
+            # selective pass instead of materialising an (n, d)
+            # factor and streaming it through a full multiply.
+            np.multiply(gact, slope, out=gact, where=x.data <= 0)
+            x._accumulate(gact)
         if a.requires_grad:
             a._accumulate(act.T @ grad)
 
@@ -440,44 +405,18 @@ def affine(x: ArrayLike, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     if x.data.ndim != 2 or not _plans.fast_kernels_enabled():
         out = x @ weight
         return out + bias if bias is not None else out
-    # Row-block chunking: the plan is fixed at forward time (a pure
-    # function of the row count and the configured worker count) and
-    # reused by the backward closure, so forward and backward block
-    # identically and serial_execution() reproduces the pooled result
-    # bit for bit.  plan=None (small input or one worker) is the
-    # unchunked kernel, unchanged from the pre-parallel path.
-    plan = _parallel.chunk_plan(x.data.shape[0])
     out_shape = (x.data.shape[0], weight.data.shape[1])
     out_dtype = np.result_type(x.data, weight.data)
-    if plan is None:
-        out_data = np.matmul(x.data, weight.data,
-                             out=_ws.ws_out(out_shape, out_dtype))
-        if bias is not None:
-            out_data += bias.data
-    else:
-        out_data = _ws.ws_empty(out_shape, out_dtype)
-
-        def forward_block(start: int, stop: int) -> None:
-            np.matmul(x.data[start:stop], weight.data,
-                      out=out_data[start:stop])
-            if bias is not None:
-                out_data[start:stop] += bias.data
-
-        _parallel.run_chunked(forward_block, plan)
+    out_data = np.matmul(x.data, weight.data,
+                         out=_ws.ws_out(out_shape, out_dtype))
+    if bias is not None:
+        out_data += bias.data
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             gx = _ws.ws_empty(x.data.shape,
                               np.result_type(grad, weight.data))
-            if plan is None:
-                np.matmul(grad, weight.data.T, out=gx)
-            else:
-                wt = weight.data.T
-
-                def backward_block(start: int, stop: int) -> None:
-                    np.matmul(grad[start:stop], wt, out=gx[start:stop])
-
-                _parallel.run_chunked(backward_block, plan)
+            np.matmul(grad, weight.data.T, out=gx)
             x._accumulate(gx)
         if weight.requires_grad:
             weight._accumulate(x.data.T @ grad)

@@ -7,18 +7,17 @@ new tape, or replays an existing one.
 
 Capture key
 -----------
-``(identities of the pinned key objects, compute dtype, num_workers)``.
+``(identities of the pinned key objects, compute dtype)``.
 The key objects are the batch and its composed structure (the node trainer
 keys on the graph): the content-keyed :class:`~repro.graph.BatchStructureCache`
 already guarantees that *the same object* comes back for a recurring chunk,
 so object identity is exactly the frozen-structure contract — a structure-
 cache miss produces a new object, hence a new key, hence a recapture.  The
 dtype component invalidates on ``TrainConfig(dtype=...)`` changes (and the
-``Module.astype`` the trainer performs with them); the worker count
-invalidates on :func:`~repro.tensor.set_num_workers`, whose chunk plans
-change the kernel call sequence.  Every registry entry *pins* its key
-objects, which is what keeps ``id()`` comparisons sound: a pinned object
-cannot be collected, so its id cannot be reused while the entry lives.
+``Module.astype`` the trainer performs with them).  Every registry entry
+*pins* its key objects, which is what keeps ``id()`` comparisons sound: a
+pinned object cannot be collected, so its id cannot be reused while the
+entry lives.
 
 Second-visit policy
 -------------------
@@ -49,7 +48,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..tensor import TapeInvalid, TrainingTape, Workspace, get_num_workers
+from ..tensor import TapeInvalid, TrainingTape, Workspace
 from ..tensor.workspace import use_training_workspace
 from ..utils.timing import profile_phase
 
@@ -115,8 +114,7 @@ class StepCapture:
     # ------------------------------------------------------------------
     @staticmethod
     def _key(pins: Tuple, dtype) -> Tuple:
-        return (tuple(id(obj) for obj in pins), np.dtype(dtype).str,
-                get_num_workers())
+        return tuple(id(obj) for obj in pins), np.dtype(dtype).str
 
     def entry_for(self, pins: Tuple, dtype) -> Optional[CaptureEntry]:
         """The entry for this step, or ``None`` (run uncaptured).

@@ -41,9 +41,8 @@ when available, override with ``REPRO_DP_START_METHOD``) and are
 persistent: each owns a private model replica, its own
 :class:`~repro.core.DatasetStructures` pipeline, step-capture registry
 and gradient arenas, and re-enters the coordinator's kernel mode
-(``naive_kernels`` / ``serial_execution`` / worker-thread count) so a
-shard computes the same bits in any process.  The per-step protocol over
-each worker's pipe is::
+(``naive_kernels`` or not) so a shard computes the same bits in any
+process.  The per-step protocol over each worker's pipe is::
 
     coordinator                      worker
     ("epoch", e)  ────────────────▶  permute shards, build chunks
@@ -88,9 +87,8 @@ from ..graph import GraphBatch
 from ..nn import Module
 from ..optim import Adam, FlatParams, clip_grad_norm
 from ..tensor import (ACCUM_DTYPE, default_dtype, fast_kernels_enabled,
-                      get_num_workers, naive_kernels, serial_execution,
-                      set_num_workers)
-from ..tensor import _comm, _parallel
+                      naive_kernels)
+from ..tensor import _comm
 from ..tensor._comm import (CommUnavailable, LocalFlatComm, SharedFlatComm,
                             probe_shared_memory, publish_params,
                             reduce_lanes, write_lane)
@@ -111,24 +109,14 @@ def _serial_config(cfg: TrainConfig) -> TrainConfig:
 
 
 def _kernel_runtime() -> Dict:
-    """Snapshot of the process-global kernel switches to re-enter in a
-    worker (fork inherits them; spawn starts from library defaults)."""
-    return {
-        "fast_kernels": fast_kernels_enabled(),
-        "serial_kernels": _parallel._serial_only,
-        "num_workers": get_num_workers(),
-    }
+    """Snapshot of the process-global kernel switch to re-enter in a
+    worker (fork inherits it; spawn starts from library defaults)."""
+    return {"fast_kernels": fast_kernels_enabled()}
 
 
-@contextlib.contextmanager
 def _enter_runtime(runtime: Dict):
-    set_num_workers(runtime["num_workers"])
-    with contextlib.ExitStack() as stack:
-        if not runtime["fast_kernels"]:
-            stack.enter_context(naive_kernels())
-        if runtime["serial_kernels"]:
-            stack.enter_context(serial_execution())
-        yield
+    return (contextlib.nullcontext() if runtime["fast_kernels"]
+            else naive_kernels())
 
 
 class _ShardRunner:

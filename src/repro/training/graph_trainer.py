@@ -360,7 +360,8 @@ class GraphClassificationTrainer:
                           ) -> Tuple[float, Dict[str, float]]:
         """One training epoch's wall seconds plus its phase breakdown.
 
-        Reuses the trainer's structure pipeline across calls, so repeated
+        Runs the same step as ``fit`` (gradient clipping included) and
+        reuses the trainer's structure pipeline across calls, so repeated
         invocations on the same dataset measure the steady state: the
         (seeded) chunk sequence repeats, and every collated batch is a
         cache hit from the second call onward.
@@ -381,6 +382,8 @@ class GraphClassificationTrainer:
                 model.zero_grad()
                 self._train_step(model, batch, structure, rng, rngs)
                 with profile_phase("optimizer"):
+                    if cfg.grad_clip:
+                        clip_grad_norm(model.parameters(), cfg.grad_clip)
                     optimizer.step()
             profiler.end_epoch()
         return time.perf_counter() - start, profiler.mean_epoch()

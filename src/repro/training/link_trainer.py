@@ -24,7 +24,7 @@ from ..datasets import LinkTaskSplits, NodeDataset
 from ..graph import degree_features
 from ..nn import Module
 from ..optim import Adam, clip_grad_norm
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor, default_dtype, no_grad
 from ..utils.timing import PhaseTimer, profile_phase
 from .config import TrainConfig
 from .early_stopping import EarlyStopping
@@ -71,11 +71,13 @@ class LinkPredictionTrainer:
     def fit(self, model: Module, dataset: NodeDataset,
             splits: LinkTaskSplits) -> LinkTrainResult:
         cfg = self.config
-        train_graph = splits.train_graph
-        if train_graph.x is not None:
-            x = Tensor(train_graph.x)
-        else:
-            x = Tensor(degree_features(train_graph, max_degree=32))
+        # Inputs and model move to the compute precision once, up front,
+        # before Adam snapshots its moment buffers (as the node trainer).
+        train_graph = splits.train_graph.astype(cfg.dtype)
+        model.astype(cfg.dtype)
+        features = (train_graph.x if train_graph.x is not None
+                    else degree_features(train_graph, max_degree=32))
+        x = Tensor(features, dtype=cfg.dtype)
         rng = make_rng(cfg.seed + 211)
 
         optimizer = Adam(model.parameters(), lr=cfg.lr,
@@ -87,7 +89,7 @@ class LinkPredictionTrainer:
         profiler = PhaseTimer() if cfg.profile else None
         scope = profiler.activate() if profiler else contextlib.nullcontext()
 
-        with scope:
+        with scope, default_dtype(cfg.dtype):
             for epoch in range(cfg.epochs):
                 epochs_run = epoch + 1
                 model.train()
@@ -129,7 +131,7 @@ class LinkPredictionTrainer:
 
         stopper.restore(model)
         model.eval()
-        with no_grad():
+        with default_dtype(cfg.dtype), no_grad():
             h, _ = self._encode(model, x, train_graph.edge_index,
                                 train_graph.edge_weight)
         val_scores, val_labels = _pair_scores(h, splits.val_edges,

@@ -1,5 +1,7 @@
 """Tests for the benchmark-harness infrastructure (benchmarks/common.py)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,44 @@ class TestComparisonTable:
 
 class TestEmit:
     def test_writes_results_file(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_SCOPE", raising=False)
         monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
         common.emit("Table X: sample", "hello world")
         written = (tmp_path / "table_x:_sample.txt").read_text()
         assert "hello world" in written
+
+    def test_smoke_scope_leaves_committed_table_alone(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCOPE", "smoke")
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+        committed = tmp_path / "table_x:_sample.txt"
+        committed.write_text("full run\n")
+        common.emit("Table X: sample", "smoke run")
+        assert committed.read_text() == "full run\n"
+        assert (tmp_path / "smoke" / committed.name).read_text() \
+            == "smoke run\n"
+
+
+class TestOutputPath:
+    def test_full_scope_returns_committed_path(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_SCOPE", raising=False)
+        committed = tmp_path / "BENCH_x.json"
+        assert common.output_path(committed) == committed
+
+    def test_smoke_scope_redirects_under_results_smoke(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCOPE", "smoke")
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path / "results")
+        path = common.output_path(tmp_path / "BENCH_x.json")
+        assert path == tmp_path / "results" / "smoke" / "BENCH_x.json"
+        assert path.parent.is_dir()
+
+    def test_smoke_directory_is_gitignored(self):
+        root = Path(common.__file__).resolve().parent.parent
+        ignored = (root / ".gitignore").read_text().split()
+        smoke = common.RESULTS_DIR / "smoke"
+        assert f"{smoke.relative_to(root).as_posix()}/" in ignored
 
 
 class TestScope:

@@ -1,0 +1,130 @@
+"""Seeded fits pinned by the sha256 of their final weights.
+
+Every kernel runs unchunked on the calling thread, so a seeded float32 fit
+must end with the same weight bits on any host, whatever its core count.
+The 3,000-node graph puts more than 2,048 rows through ``affine``,
+``leaky_relu_project`` and the CSR segment sums, where splitting the rows
+into blocks would change the GEMM rounding and break the pins.
+
+OpenBLAS partitions a GEMM by thread, so its thread count changes float32
+rounding too, and by default it follows the core count.  The fits
+therefore run in a child process (this file run as a script) with the
+BLAS thread count fixed at the value the pins were recorded at.
+
+The float64 link-prediction pin is the run ``LinkPredictionTrainer``
+produced before it honoured ``TrainConfig.dtype`` (it trained in float64
+whatever the config said), so asking for float64 changes no bit.
+
+Bitwise pins are specific to the NumPy/BLAS build and CPU kernels that
+produced them; after a deliberate numerical change, print fresh ones with
+``OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python
+tests/training/test_fingerprint_pins.py``.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+ADAMGNN_PIN = \
+    "985a24e05eca92205834fc07e49736750c87f0f89c45a4f73908448a68ef3409"
+SAMPLED_GCN_PIN = \
+    "5cc1cf8b34eeba3cfb508a84c841db93366cb3258741fc3d7d565c012e010291"
+LINK_FLOAT64_PIN = \
+    "c70984926004e774244d77da2bb962a9dcf945ec777ae6d471a38ad9c2a00ca6"
+LINK_FLOAT64_TEST_AUC = 0.599647266313933
+
+#: BLAS threads the pins were recorded at.
+BLAS_THREADS = "2"
+
+
+def _fingerprint(model) -> str:
+    digest = hashlib.sha256()
+    for param in model.parameters():
+        digest.update(np.ascontiguousarray(param.data).tobytes())
+    return digest.hexdigest()
+
+
+def _node_fit(dataset, arch: str, **config):
+    from repro.training import (NodeClassificationTrainer, TrainConfig,
+                                prepare_node_features)
+    from repro.training.experiment import make_node_classifier
+    in_features = prepare_node_features(dataset).shape[1]
+    model = make_node_classifier(arch, in_features, dataset.num_classes,
+                                 seed=0)
+    NodeClassificationTrainer(TrainConfig(seed=0, **config)).fit(
+        model, dataset)
+    return model
+
+
+def _link_fit():
+    from repro.core import AdamGNNLinkPredictor
+    from repro.datasets import (NodeDataset, SBMConfig, generate_sbm_graph,
+                                split_links, split_nodes)
+    from repro.training import LinkPredictionTrainer, TrainConfig
+    cfg = SBMConfig(num_nodes=90, num_classes=2, communities_per_class=1,
+                    subs_per_community=1, p_sub=0.3, p_comm=0.3,
+                    p_class=0.3, p_out=0.01, num_features=24,
+                    words_per_node=12, topic_noise=0.2)
+    graph = generate_sbm_graph(cfg, seed=0)
+    dataset = NodeDataset("tiny", graph, 2, split_nodes(
+        graph.num_nodes, np.random.default_rng(0)))
+    splits = split_links(graph, np.random.default_rng(0))
+    model = AdamGNNLinkPredictor(24, hidden=16, num_levels=2,
+                                 rng=np.random.default_rng(0))
+    result = LinkPredictionTrainer(TrainConfig(
+        epochs=4, patience=4, seed=0, dtype="float64")).fit(
+            model, dataset, splits)
+    return model, result
+
+
+def _run_fits() -> dict:
+    from repro.datasets import NodeDataset, split_nodes
+    from repro.datasets.sbm import generate_sbm_graph, scaled_sbm_config
+    cfg = scaled_sbm_config(3_000, num_features=32)
+    graph = generate_sbm_graph(cfg, seed=0)
+    dataset = NodeDataset("sbm-3000", graph, cfg.num_classes, split_nodes(
+        graph.num_nodes, np.random.default_rng(0)))
+    adamgnn = _node_fit(dataset, "adamgnn", epochs=2, patience=2)
+    sampled = _node_fit(dataset, "gcn", sampled=True, epochs=1, patience=1,
+                        node_batch_size=512, fanout=5, num_hops=2)
+    link, link_result = _link_fit()
+    return {
+        "adamgnn": _fingerprint(adamgnn),
+        "adamgnn_dtype": str(adamgnn.parameters()[0].data.dtype),
+        "sampled_gcn": _fingerprint(sampled),
+        "link_float64": _fingerprint(link),
+        "link_float64_test_auc": link_result.test_auc,
+    }
+
+
+@pytest.fixture(scope="module")
+def fits():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=BLAS_THREADS,
+               OMP_NUM_THREADS=BLAS_THREADS)
+    proc = subprocess.run([sys.executable, __file__], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_full_batch_adamgnn_fit_matches_pin(fits):
+    assert fits["adamgnn_dtype"] == "float32"
+    assert fits["adamgnn"] == ADAMGNN_PIN
+
+
+def test_sampled_gcn_fit_matches_pin(fits):
+    assert fits["sampled_gcn"] == SAMPLED_GCN_PIN
+
+
+def test_float64_link_prediction_matches_pin(fits):
+    assert fits["link_float64_test_auc"] == LINK_FLOAT64_TEST_AUC
+    assert fits["link_float64"] == LINK_FLOAT64_PIN
+
+
+if __name__ == "__main__":
+    print(json.dumps(_run_fits()))

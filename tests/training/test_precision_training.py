@@ -7,11 +7,7 @@ The compute-precision contract at the training level:
   all live at that dtype (Adam's second moments stay float64 by design);
 * float32 and float64 runs of the same seeded configuration reach
   matching accuracy over a few epochs — half the memory traffic, same
-  learning behaviour;
-* the chunk-parallel executor is deterministic: the same plan replayed
-  serially (``serial_execution``) reproduces a pooled training run bit
-  for bit, and the ``naive_kernels`` reference path is independent of the
-  worker count entirely.
+  learning behaviour.
 """
 
 import numpy as np
@@ -19,7 +15,6 @@ import pytest
 
 from repro.core import AdamGNNGraphClassifier
 from repro.datasets import GraphDataset, load_graph_dataset, split_graphs
-from repro.tensor import naive_kernels, num_workers, serial_execution
 from repro.training import GraphClassificationTrainer, TrainConfig
 
 
@@ -66,39 +61,3 @@ def test_float32_matches_float64_accuracy(dataset):
     assert abs(r32.val_accuracy - r64.val_accuracy) <= 0.2
     assert abs(r32.test_accuracy - r64.test_accuracy) <= 0.2
 
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_serial_replay_reproduces_pooled_training_bitwise(dataset, dtype):
-    """serial_execution() runs the same chunk plans on the caller's
-    thread, so a whole training run — every forward, backward and
-    optimiser step — must replay bit for bit."""
-    with num_workers(4):
-        pooled_model, pooled = fit(dataset, dtype=dtype)
-        with serial_execution():
-            serial_model, serial = fit(dataset, dtype=dtype)
-    assert pooled.epochs_run == serial.epochs_run
-    assert pooled.val_accuracy == serial.val_accuracy
-    assert pooled.test_accuracy == serial.test_accuracy
-    for a, b in zip(pooled_model.parameters(), serial_model.parameters()):
-        assert np.array_equal(a.data, b.data)
-
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_naive_reference_ignores_worker_count(dataset, dtype):
-    """naive_kernels() bypasses fusion *and* chunking, so its training
-    trajectory cannot depend on the parallel configuration at all (and at
-    float64 it is the pre-policy reference path, bit for bit)."""
-
-    def run():
-        with naive_kernels():
-            model, result = fit(dataset, epochs=2, dtype=dtype)
-        return model, result
-
-    with num_workers(1):
-        base_model, base = run()
-    with num_workers(8):
-        wide_model, wide = run()
-    assert base.val_accuracy == wide.val_accuracy
-    assert base.test_accuracy == wide.test_accuracy
-    for a, b in zip(base_model.parameters(), wide_model.parameters()):
-        assert np.array_equal(a.data, b.data)

@@ -96,6 +96,16 @@ class TestLinkTrainer:
                                                  splits)
         assert 0.0 <= result.test_auc <= 1.0
 
+    def test_default_config_trains_in_float32(self, tiny_node_dataset):
+        splits = split_links(tiny_node_dataset.graph,
+                             np.random.default_rng(0))
+        model = AdamGNNLinkPredictor(24, hidden=16, num_levels=2,
+                                     rng=np.random.default_rng(0))
+        LinkPredictionTrainer(TrainConfig(epochs=2, seed=0)).fit(
+            model, tiny_node_dataset, splits)
+        assert {p.data.dtype for p in model.parameters()} == {
+            np.dtype(np.float32)}
+
 
 class TestGraphTrainer:
     @pytest.fixture(scope="class")
@@ -139,6 +149,28 @@ class TestGraphTrainer:
             TrainConfig(epochs=1, batch_size=16))
         seconds = trainer.time_one_epoch(model, tiny_graph_dataset)
         assert seconds > 0
+
+    def test_profiled_epoch_is_the_fit_step(self, tiny_graph_dataset):
+        """The epoch the benchmark times clips gradients as ``fit`` does:
+        with a clip small enough to engage, one profiled epoch and a
+        one-epoch fit end with the same weight bits.  ``num_procs=1``:
+        the profiled epoch is the serial step, whatever REPRO_DP_PROCS
+        says."""
+        def fresh():
+            model = make_graph_classifier(
+                "adamgnn", tiny_graph_dataset.num_features, 2, seed=0,
+                hidden=16, num_levels=2)
+            trainer = GraphClassificationTrainer(TrainConfig(
+                epochs=1, patience=1, batch_size=16, seed=0,
+                grad_clip=1e-3, num_procs=1))
+            return model, trainer
+
+        profiled, trainer = fresh()
+        trainer.profile_one_epoch(profiled, tiny_graph_dataset)
+        fitted, trainer = fresh()
+        trainer.fit(fitted, tiny_graph_dataset)
+        for a, b in zip(profiled.parameters(), fitted.parameters()):
+            assert np.array_equal(a.data, b.data)
 
 
 class TestTrainConfigValidation:
