@@ -142,10 +142,11 @@ def _training_arm(num_nodes: int, epochs: int, max_steps: int,
     config = TrainConfig(sampled=True, epochs=epochs, patience=epochs,
                          seed=0, node_batch_size=batch_size, fanout=10,
                          num_hops=2, sampler=sampler,
-                         max_steps_per_epoch=max_steps, profile=True)
-    result = NodeClassificationTrainer(config).fit(model, dataset)
+                         max_steps_per_epoch=max_steps)
+    trainer = NodeClassificationTrainer(config)
+    result = trainer.fit(model, dataset)
     steps_total = result.epochs_run * result.steps_per_epoch
-    sampler_stats = (result.cache_stats or {}).get("sampler", {})
+    sampler_stats = trainer.cache_stats(model)["sampler"]
     return {
         "seconds": round(result.seconds, 3),
         "epochs_run": result.epochs_run,
@@ -155,9 +156,6 @@ def _training_arm(num_nodes: int, epochs: int, max_steps: int,
         "mean_batch_nodes": round(sampler_stats.get("mean_batch_nodes",
                                                     0.0), 1),
         "last_batch_edges": sampler_stats.get("last_batch_edges", 0),
-        "phase_seconds": {k: round(v, 4) for k, v in
-                          sorted((result.phase_seconds or {}).items(),
-                                 key=lambda kv: -kv[1])},
     }
 
 

@@ -10,9 +10,8 @@ Absolute seconds are NumPy-on-CPU and not comparable to the paper's GPU
 numbers; compare the *ordering* of the rows per column.
 
 A second section times node-classification training (full-batch epochs on
-the Table-2 graphs) and prints AdamGNN's per-phase breakdown from the
-:class:`~repro.utils.timing.PhaseTimer` hooks — the regression guard for
-the segment-kernel / structure-cache fast paths.
+the Table-2 graphs) — the regression guard for the segment-kernel /
+structure-cache fast paths.
 
 A third section is the regression guard for the *minibatch* pipeline
 (per-graph structure precomputation, block-diagonal composition, the
@@ -20,15 +19,23 @@ collated-batch cache and the fused training kernels): steady-state AdamGNN
 epochs on the synthetic PROTEINS workload, first epoch excluded, with the
 medians written machine-readably to ``BENCH_graph_epoch.json`` at the repo
 root next to the recorded pre-optimisation baseline.
+
+Every section times the step ``fit`` runs: one fresh ``fit`` per figure,
+whose steady figure is :func:`steady_epoch_ms` — the median of
+``result.epoch_seconds`` after the cold epoch.  An epoch is the training
+steps plus the validation pass.  The per-layer split of the same step
+comes from the benchmark suite's tracer::
+
+    python3 benchmarks/suite/run.py --workload proteins-fit --seed 1 \\
+        --seconds 10 --trace 1
 """
 
 import json
 import os
 import statistics
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Tuple
 
-import numpy as np
 import pytest
 
 from repro.analysis import (assert_unpatched, sanitize, sanitizer_paused)
@@ -42,7 +49,8 @@ from repro.training.node_trainer import (NodeClassificationTrainer,
                                          prepare_node_features)
 
 from .common import (PAPER_TABLE4, bench_environment, comparison_table,
-                     current_commit, emit, is_smoke, output_path)
+                     current_commit, emit, is_smoke, keyed_history,
+                     output_path, record_history)
 
 MODELS = ("diffpool", "sagpool", "topkpool", "structpool", "adamgnn")
 DATASETS = ("nci1", "nci109", "proteins")
@@ -51,37 +59,47 @@ NODE_MODELS = ("gcn", "gat", "adamgnn")
 NODE_DATASETS = ("cora", "citeseer", "acm")
 
 
+def steady_epoch_ms(trainer, model, data, skip: int = 1,
+                    ) -> Tuple[float, object]:
+    """``(median ms of fit's epochs after the first skip, fit result)``.
+
+    One ``fit`` of ``trainer.config.epochs`` epochs (configs set
+    ``patience`` to the epoch count so early stopping cannot cut it).
+    ``skip`` drops the cold epoch, which pays the one-off structure
+    precomputation and cache builds.
+    """
+    result = trainer.fit(model, data)
+    steady = result.epoch_seconds[skip:]
+    return statistics.median(steady) * 1000.0, result
+
+
 def generate_table4() -> str:
     datasets = ("nci1",) if is_smoke() else DATASETS
-    repeats = 1 if is_smoke() else 3
-    trainer = GraphClassificationTrainer(TrainConfig(epochs=1,
-                                                     batch_size=32))
+    epochs = 2 if is_smoke() else 4
     measured: Dict[str, Dict[str, float]] = {m: {} for m in MODELS}
     for dataset in datasets:
         data = load_graph_dataset(dataset, seed=0)
         for model_name in MODELS:
-            times = []
-            for _ in range(repeats):
-                model = make_graph_classifier(model_name,
-                                              data.num_features, 2, seed=0)
-                times.append(trainer.time_one_epoch(model, data))
-            measured[model_name][dataset] = float(np.mean(times))
+            trainer = GraphClassificationTrainer(TrainConfig(
+                epochs=epochs, patience=epochs, batch_size=32))
+            model = make_graph_classifier(model_name,
+                                          data.num_features, 2, seed=0)
+            ms, _ = steady_epoch_ms(trainer, model, data)
+            measured[model_name][dataset] = ms / 1000.0
     return comparison_table(measured, PAPER_TABLE4, MODELS, datasets,
                             fmt="{:.2f}")
 
 
 def generate_node_epoch_times() -> str:
-    """Per-epoch training time (ms) for the node-classification models.
+    """Per-epoch time (ms) of full-batch node-classification ``fit``.
 
-    Uses :meth:`NodeClassificationTrainer.time_one_epoch`: full training
-    epochs, first epoch discarded (it pays the one-off structure-cache and
-    segment-plan builds), remainder averaged.  AdamGNN additionally prints
-    its phase breakdown.
+    One fit per cell; the figure is :func:`steady_epoch_ms` (first epoch
+    discarded: it pays the one-off structure-cache and segment-plan
+    builds).  AdamGNN's epochs replay the training tape from the third on.
     """
     datasets = ("cora",) if is_smoke() else NODE_DATASETS
     epochs = 3 if is_smoke() else 8
     lines = ["model      " + "".join(f"{d:>12s}" for d in datasets)]
-    phase_report = ""
     for model_name in NODE_MODELS:
         row = [f"{model_name:<11s}"]
         for dataset_name in datasets:
@@ -89,21 +107,14 @@ def generate_node_epoch_times() -> str:
             features = prepare_node_features(data)
             model = make_node_classifier(model_name, features.shape[1],
                                          data.num_classes, seed=0)
-            trainer = NodeClassificationTrainer(TrainConfig(epochs=epochs))
-            mean_s, phases = trainer.time_one_epoch(model, data,
-                                                    epochs=epochs)
-            row.append(f"{mean_s * 1000.0:10.1f}ms")
-            if model_name == "adamgnn" and dataset_name == datasets[0]:
-                ordered = sorted(phases.items(), key=lambda kv: -kv[1])
-                phase_report = "\n".join(
-                    f"    {name:<16s}{seconds * 1000.0:8.2f} ms"
-                    for name, seconds in ordered)
+            trainer = NodeClassificationTrainer(
+                TrainConfig(epochs=epochs, patience=epochs))
+            ms, _ = steady_epoch_ms(trainer, model, data)
+            row.append(f"{ms:10.1f}ms")
         lines.append("".join(row))
-    table = "\n".join(lines)
-    if phase_report:
-        table += (f"\n\nadamgnn phase breakdown ({datasets[0]}, "
-                  f"ms per epoch):\n{phase_report}")
-    return table
+    lines.append("\nper-layer split: python3 benchmarks/suite/run.py "
+                 "--workload cora-fit --seed 1 --seconds 10 --trace 1")
+    return "\n".join(lines)
 
 
 #: Recorded pre-optimisation baseline for the steady-epoch workload below
@@ -156,28 +167,36 @@ def _merge_into_json(section: str, payload: dict) -> None:
     _save_json(existing)
 
 
+def _record_history(section: str, config: Dict, median_ms: float) -> None:
+    """Add this commit's figure to the (section, config) history series
+    of ``BENCH_graph_epoch.json``."""
+    contents = _load_json()
+    history = keyed_history(contents.get("history", []))
+    record_history(history, section, config,
+                   {"commit": _current_commit(),
+                    "median_epoch_ms": round(median_ms, 1)})
+    contents["history"] = history
+    _save_json(contents)
+
+
 def generate_graph_epoch_benchmark() -> str:
     """Steady-state AdamGNN minibatch epoch time (graph classification).
 
     Synthetic PROTEINS workload, batch size 32, repo-default model
-    configuration (hidden 64, three levels).  The first epoch pays the
-    one-off per-graph structure precomputation and cache builds and is
-    excluded; the reported figure is the median of the remaining epochs.
-    Alongside the wall-clock table this writes ``BENCH_graph_epoch.json``
-    with the measured medians, the per-phase breakdown, the cache
+    configuration (hidden 64, three levels).  One ``fit``; its first
+    epoch pays the one-off per-graph structure precomputation and cache
+    builds and is excluded, and the reported figure is the median of the
+    remaining epochs.  Alongside the wall-clock table this writes
+    ``BENCH_graph_epoch.json`` with the measured medians, the cache
     counters, and the recorded pre-optimisation baseline.
     """
     epochs = 3 if is_smoke() else 7
     data = load_graph_dataset("proteins", seed=0)
-    trainer = GraphClassificationTrainer(TrainConfig(epochs=1,
-                                                     batch_size=32, seed=0))
+    trainer = GraphClassificationTrainer(TrainConfig(
+        epochs=epochs, patience=epochs, batch_size=32, seed=0))
     model = make_graph_classifier("adamgnn", data.num_features, 2, seed=0)
-    times, phases = [], {}
-    for _ in range(epochs):
-        seconds, phases = trainer.profile_one_epoch(model, data)
-        times.append(seconds * 1000.0)
-    steady = times[1:]
-    median_ms = statistics.median(steady)
+    median_ms, result = steady_epoch_ms(trainer, model, data)
+    times = [s * 1000.0 for s in result.epoch_seconds]
     cache_stats = trainer.cache_stats(model)
     baseline_ms = GRAPH_EPOCH_BASELINE["median_epoch_ms"]
 
@@ -188,45 +207,38 @@ def generate_graph_epoch_benchmark() -> str:
             "train_graphs": int(data.train_index.shape[0]),
             "batch_size": 32,
             "model": "adamgnn (hidden 64, 3 levels, radius 1)",
-            "protocol": (f"{epochs} epochs, first excluded, median of "
-                         f"the rest; smoke={is_smoke()}"),
+            "protocol": (f"one fit of {epochs} epochs (training steps + "
+                         f"validation pass), first excluded, median of "
+                         f"the rest; the baseline timed training steps "
+                         f"only; smoke={is_smoke()}"),
+            "per_layer": ("python3 benchmarks/suite/run.py --workload "
+                          "proteins-fit --seed 1 --seconds 10 --trace 1"),
         },
         "environment": _environment(trainer.config.dtype),
         "baseline": GRAPH_EPOCH_BASELINE,
         "current": {
             "median_epoch_ms": round(median_ms, 1),
             "first_epoch_ms": round(times[0], 1),
-            "steady_epoch_ms": [round(t, 1) for t in steady],
+            "steady_epoch_ms": [round(t, 1) for t in times[1:]],
         },
         "speedup_vs_baseline": round(baseline_ms / median_ms, 2),
-        "phase_ms": {name: round(seconds * 1000.0, 2)
-                     for name, seconds in sorted(phases.items(),
-                                                 key=lambda kv: -kv[1])},
         "cache_stats": cache_stats,
     }
-    # Preserve the precision A/B section if its benchmark recorded one,
-    # and extend the per-commit trajectory: one appended entry per
-    # measured commit, so the optimisation history reads straight out of
-    # the JSON instead of out of ``git log`` archaeology.
-    history = [{"commit": GRAPH_EPOCH_BASELINE["commit"],
-                "median_epoch_ms": GRAPH_EPOCH_BASELINE["median_epoch_ms"],
-                "dtype": "float64"}]
+    # Keep the other sections and the per-(section, config) history; the
+    # first run on a fresh file seeds the history with the baseline.
     prior = _load_json()
-    if prior:
-        for section in ("precision_ab", "sanitizer_ab", "capture_ab",
-                        "dp_scaling"):
-            if section in prior:
-                payload[section] = prior[section]
-        history = prior.get("history", history)
-    entry = {"commit": _current_commit(),
-             "median_epoch_ms": round(median_ms, 1),
-             "dtype": trainer.config.dtype}
-    if history and history[-1].get("commit") == entry["commit"]:
-        history[-1] = entry          # re-run on the same commit: refresh
-    else:
-        history.append(entry)
-    payload["history"] = history
+    for section in ("precision_ab", "sanitizer_ab", "capture_ab",
+                    "dp_scaling"):
+        if section in prior:
+            payload[section] = prior[section]
+    payload["history"] = prior.get("history", [
+        {"commit": GRAPH_EPOCH_BASELINE["commit"],
+         "median_epoch_ms": GRAPH_EPOCH_BASELINE["median_epoch_ms"],
+         "dtype": "float64"}])
     _save_json(payload)
+    _record_history("steady_state",
+                    {"workload": "proteins", "dtype": trainer.config.dtype,
+                     "timed": "fit_epoch"}, median_ms)
 
     lines = [
         f"baseline ({GRAPH_EPOCH_BASELINE['commit']}): "
@@ -235,17 +247,13 @@ def generate_graph_epoch_benchmark() -> str:
         f"({baseline_ms / median_ms:.2f}x)",
         f"first epoch (cold):   {times[0]:8.1f} ms",
         "",
-        "phase breakdown (ms per steady epoch):",
+        "cache hit/miss counters:",
     ]
-    lines += [f"    {name:<16s}{seconds * 1000.0:8.2f} ms"
-              for name, seconds in sorted(phases.items(),
-                                          key=lambda kv: -kv[1])]
-    lines.append("")
-    lines.append("cache hit/miss counters:")
     lines += [f"    {name:<16s}hits {c['hits']:>6d}  misses "
               f"{c['misses']:>5d}  entries {c['entries']:>5d}"
               for name, c in cache_stats.items()]
-    lines.append(f"\nmachine-readable copy: {GRAPH_EPOCH_JSON.name}")
+    lines.append(f"\nper-layer split: {payload['workload']['per_layer']}")
+    lines.append(f"machine-readable copy: {GRAPH_EPOCH_JSON.name}")
     return "\n".join(lines)
 
 
@@ -253,51 +261,38 @@ def generate_precision_ab() -> str:
     """Interleaved float32-vs-float64 A/B on the steady PROTEINS epoch.
 
     Both arms run the same seeded workload through the same kernels; only
-    the compute dtype differs.  Rounds alternate between the two
-    arms so the machine's wall-clock drift hits both equally, and the
-    paired per-round ratio is the headline figure.  Medians land in the
-    ``precision_ab`` section of ``BENCH_graph_epoch.json``.
+    the compute dtype differs.  Each round runs one fresh ``fit`` per arm,
+    alternating the two arms so the machine's wall-clock drift hits both
+    equally, and the paired per-round ratio is the headline figure.
+    Medians land in the ``precision_ab`` section of
+    ``BENCH_graph_epoch.json``.
     """
     rounds = 1 if is_smoke() else 3
-    epochs_per_round = 2 if is_smoke() else 3
+    epochs_per_fit = 3 if is_smoke() else 4
     data = load_graph_dataset("proteins", seed=0)
-    arms = {}
-    for dtype in ("float32", "float64"):
-        arms[dtype] = {
-            "trainer": GraphClassificationTrainer(
-                TrainConfig(epochs=1, batch_size=32, seed=0, dtype=dtype)),
-            "model": make_graph_classifier("adamgnn", data.num_features, 2,
-                                           seed=0),
-            "round_medians": [],
-        }
-
-    def epoch_ms(arm):
-        seconds, _ = arm["trainer"].profile_one_epoch(arm["model"], data)
-        return seconds * 1000.0
-
-    # Warm both arms: the cold epoch pays the one-off structure
-    # precomputation and cache builds and belongs to neither measurement.
-    for arm in arms.values():
-        epoch_ms(arm)
-
+    round_medians: Dict[str, list] = {"float32": [], "float64": []}
     for _ in range(rounds):
-        for arm in arms.values():
-            arm["round_medians"].append(statistics.median(
-                epoch_ms(arm) for _ in range(epochs_per_round)))
+        for dtype, medians in round_medians.items():
+            trainer = GraphClassificationTrainer(TrainConfig(
+                epochs=epochs_per_fit, patience=epochs_per_fit,
+                batch_size=32, seed=0, dtype=dtype))
+            model = make_graph_classifier("adamgnn", data.num_features, 2,
+                                          seed=0)
+            medians.append(steady_epoch_ms(trainer, model, data)[0])
 
-    m32 = statistics.median(arms["float32"]["round_medians"])
-    m64 = statistics.median(arms["float64"]["round_medians"])
-    paired = [b / a for a, b in zip(arms["float32"]["round_medians"],
-                                    arms["float64"]["round_medians"])]
+    m32 = statistics.median(round_medians["float32"])
+    m64 = statistics.median(round_medians["float64"])
+    paired = [b / a for a, b in zip(round_medians["float32"],
+                                    round_medians["float64"])]
     payload = {
         "environment": _environment("float32 vs float64"),
-        "protocol": (f"interleaved A/B, {rounds} rounds, median of "
-                     f"{epochs_per_round} steady epochs per round per arm "
-                     f"(cold epoch excluded); smoke={is_smoke()}"),
+        "protocol": (f"interleaved A/B, {rounds} rounds, one fit of "
+                     f"{epochs_per_fit} epochs per round per arm, median "
+                     f"with the cold epoch excluded; smoke={is_smoke()}"),
         "float32_round_medians_ms": [round(v, 1) for v in
-                                     arms["float32"]["round_medians"]],
+                                     round_medians["float32"]],
         "float64_round_medians_ms": [round(v, 1) for v in
-                                     arms["float64"]["round_medians"]],
+                                     round_medians["float64"]],
         "float32_median_ms": round(m32, 1),
         "float64_median_ms": round(m64, 1),
         "paired_round_speedups": [round(r, 2) for r in paired],
@@ -319,142 +314,82 @@ def generate_precision_ab() -> str:
 
 
 def generate_capture_ab() -> str:
-    """Interleaved capture off/on A/B on the steady PROTEINS epoch.
+    """Interleaved capture off/on A/B on full-batch AdamGNN Cora ``fit``.
 
-    The on arm trains with ``TrainConfig(capture=True)``: after the mark
-    and capture visits, every step replays its recorded autograd tape
-    with gradient buffers drawn from the preallocated training arena.
-    ``profile_one_epoch`` re-seeds its chunk permutation, so the same
-    (batch, structure) keys recur every epoch and replay engages from the
-    third visit on — the warmup below runs exactly those visits so the
-    measured epochs are all replays.  Rounds alternate off/on so the
-    machine's wall-clock drift hits both arms equally; the paired
+    Full-batch node training revisits one (graph, dtype) key every
+    epoch, so ``fit`` itself marks it in epoch 1, captures the autograd
+    tape in epoch 2 and replays it, with gradient buffers drawn from the
+    preallocated training arena, from epoch 3 on.  Each round runs one
+    fresh fit per arm, alternating off/on so the machine's wall-clock
+    drift hits both equally; an arm's figure is the median of its
+    replayed epochs (the first two excluded in both arms), and the paired
     per-round ratio is the headline figure.  Alongside the timings this
-    records the replayed step's per-phase breakdown, the capture/arena
-    counters, and the zero-steady-state-allocation evidence (the arena's
-    ``allocations`` counter must not move across the measured epochs).
-    Medians land in the ``capture_ab`` section of
-    ``BENCH_graph_epoch.json`` and the on-arm median is appended to the
-    per-commit ``history`` trajectory.
+    records the capture/arena counters of the last on-arm fit and the
+    zero-steady-state-allocation evidence: the arena allocations the
+    on-arm fit made after its capture epoch, i.e. its total minus that of
+    a two-epoch fit with the same seed (seeded fits are bitwise
+    repeatable, so the first two epochs allocate the same).  The arena
+    still grows when the learned selection drifts across a size class:
+    with seed 0 it adds 2 buffers by epoch 6 and 12 more by epoch 12, so
+    the test's bound of 8 holds for fits of up to 11 epochs.  Medians
+    land in the ``capture_ab`` section of ``BENCH_graph_epoch.json`` and
+    the on-arm median extends its history series.
     """
-    try:
-        import resource
-
-        def minor_faults():
-            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    except ImportError:          # non-POSIX: skip the fault counters
-        def minor_faults():
-            return 0
-
     rounds = 1 if is_smoke() else 3
-    epochs_per_round = 2 if is_smoke() else 3
-    data = load_graph_dataset("proteins", seed=0)
-    arms = {}
-    for name, capture in (("off", False), ("on", True)):
-        arms[name] = {
-            "trainer": GraphClassificationTrainer(
-                TrainConfig(epochs=1, batch_size=32, seed=0,
-                            capture=capture)),
-            "model": make_graph_classifier("adamgnn", data.num_features, 2,
-                                           seed=0),
-            "round_medians": [],
-            "round_faults": [],
-        }
+    epochs_per_fit = 6 if is_smoke() else 10
+    skip = 2                                  # mark + capture epochs
+    data = load_node_dataset("cora", seed=0)
+    features = prepare_node_features(data)
 
-    def epoch_ms(arm):
-        seconds, phases = arm["trainer"].profile_one_epoch(arm["model"],
-                                                           data)
-        arm["phases"] = phases
-        return seconds * 1000.0
+    def arm(capture: bool, epochs: int):
+        trainer = NodeClassificationTrainer(TrainConfig(
+            epochs=epochs, patience=epochs, seed=0, capture=capture))
+        model = make_node_classifier("adamgnn", features.shape[1],
+                                     data.num_classes, seed=0)
+        return trainer, model
 
-    # Warm the off arm past the cold epoch, and the on arm past its mark
-    # (1st visit) and capture (2nd visit) epochs so every measured epoch
-    # replays a recorded tape.  Then keep warming the on arm until the
-    # arena settles — one full epoch with zero new allocations — so the
-    # measured epochs run against a fully preallocated arena.  (The
-    # learned selection's size drift can cross a size-class boundary
-    # after settling; that costs O(1) buffers ever, which the acceptance
-    # bound tolerates.)
-    epoch_ms(arms["off"])
-    for _ in range(3):
-        epoch_ms(arms["on"])
-
-    def tape_stats():
-        return arms["on"]["trainer"].cache_stats()["training_tape"]
-
-    assert tape_stats()["hits"] > 0, "replay did not engage during warmup"
-    warm_epochs, clean_epochs = 3, 0
-    allocs_at_steady = tape_stats()["arena_allocations"]
-    for _ in range(12):
-        epoch_ms(arms["on"])
-        warm_epochs += 1
-        now = tape_stats()["arena_allocations"]
-        clean_epochs = clean_epochs + 1 if now == allocs_at_steady else 0
-        allocs_at_steady = now
-        if clean_epochs >= 2:
-            break
-
+    probe, model = arm(True, skip)
+    probe.fit(model, data)
+    allocs_at_capture = \
+        probe.cache_stats()["training_tape"]["arena_allocations"]
+    round_medians: Dict[str, list] = {"off": [], "on": []}
     for _ in range(rounds):
-        for arm in arms.values():
-            faults_before = minor_faults()
-            arm["round_medians"].append(statistics.median(
-                epoch_ms(arm) for _ in range(epochs_per_round)))
-            arm["round_faults"].append(
-                (minor_faults() - faults_before) / epochs_per_round)
+        for name, medians in round_medians.items():
+            trainer, model = arm(name == "on", epochs_per_fit)
+            medians.append(steady_epoch_ms(trainer, model, data,
+                                           skip=skip)[0])
+            if name == "on":
+                stats = trainer.cache_stats()["training_tape"]
+    assert stats["hits"] > 0, "replay did not engage"
+    steady_allocs = stats["arena_allocations"] - allocs_at_capture
 
-    off_ms = statistics.median(arms["off"]["round_medians"])
-    on_ms = statistics.median(arms["on"]["round_medians"])
-    off_faults = statistics.median(arms["off"]["round_faults"])
-    on_faults = statistics.median(arms["on"]["round_faults"])
-    paired = [off / on for off, on in zip(arms["off"]["round_medians"],
-                                          arms["on"]["round_medians"])]
-    stats = arms["on"]["trainer"].cache_stats()["training_tape"]
-    steady_allocs = stats["arena_allocations"] - allocs_at_steady
-
+    off_ms = statistics.median(round_medians["off"])
+    on_ms = statistics.median(round_medians["on"])
+    paired = [off / on for off, on in zip(round_medians["off"],
+                                          round_medians["on"])]
+    dtype = TrainConfig(epochs=1).dtype
     payload = {
-        "environment": _environment(
-            arms["on"]["trainer"].config.dtype),
-        "protocol": (f"interleaved A/B, {rounds} rounds, median of "
-                     f"{epochs_per_round} steady epochs per round per arm "
-                     f"(cold/mark/capture epochs excluded; on arm warmed "
-                     f"{warm_epochs} epochs until the arena settled); "
-                     f"smoke={is_smoke()}"),
-        "off_round_medians_ms": [round(v, 1) for v in
-                                 arms["off"]["round_medians"]],
-        "on_round_medians_ms": [round(v, 1) for v in
-                                arms["on"]["round_medians"]],
+        "environment": _environment(dtype),
+        "workload": "cora, full-batch adamgnn node classification",
+        "protocol": (f"interleaved A/B, {rounds} rounds, one fit of "
+                     f"{epochs_per_fit} epochs per round per arm, median "
+                     f"of epochs {skip + 1}..{epochs_per_fit} (the "
+                     f"replayed ones in the on arm); smoke={is_smoke()}"),
+        "off_round_medians_ms": [round(v, 1) for v in round_medians["off"]],
+        "on_round_medians_ms": [round(v, 1) for v in round_medians["on"]],
         "off_median_ms": round(off_ms, 1),
         "on_median_ms": round(on_ms, 1),
         "paired_round_speedups": [round(r, 2) for r in paired],
         "capture_speedup": round(off_ms / on_ms, 2),
-        # Minor page faults per epoch (RUSAGE_SELF): the drift-immune
-        # signal of what the arena removes — every fresh >=128 KiB NumPy
-        # allocation is an mmap whose pages fault in on first touch.
-        "off_minor_faults_per_epoch": round(off_faults),
-        "on_minor_faults_per_epoch": round(on_faults),
-        "replayed_phase_ms": {
-            name: round(seconds * 1000.0, 2)
-            for name, seconds in sorted(arms["on"]["phases"].items(),
-                                        key=lambda kv: -kv[1])},
         "capture_stats": stats,
-        # Arena allocations across all measured epochs: 0 means every
+        # Arena allocations across the replayed epochs: 0 means every
         # gradient/forward buffer came out of the preallocated arena.
         "steady_state_arena_allocations": steady_allocs,
     }
     _merge_into_json("capture_ab", payload)
-
-    # Extend the per-commit trajectory with the captured-arm figure so
-    # the history reads as "what a default (capture-on) epoch costs".
-    contents = _load_json()
-    history = contents.setdefault("history", [])
-    entry = {"commit": _current_commit(), "median_epoch_ms": round(on_ms, 1),
-             "dtype": arms["on"]["trainer"].config.dtype, "capture": True}
-    if history and history[-1].get("commit") == entry["commit"] \
-            and history[-1].get("capture"):
-        history[-1] = entry
-    else:
-        history.append(entry)
-    _save_json(contents)
+    _record_history("capture_ab", {"workload": "cora", "dtype": dtype,
+                                   "capture": True, "timed": "fit_epoch"},
+                    on_ms)
 
     lines = [
         f"capture off:           {off_ms:8.1f} ms/epoch  "
@@ -463,8 +398,6 @@ def generate_capture_ab() -> str:
         f"rounds {payload['on_round_medians_ms']}",
         f"capture speedup:       {off_ms / on_ms:8.2f}x  "
         f"(paired per round: {payload['paired_round_speedups']})",
-        f"minor faults/epoch:    off {off_faults:8.0f}   on "
-        f"{on_faults:8.0f}",
         f"replay: {stats['hits']} hits, {stats['fallbacks']} fallbacks, "
         f"{stats['entries']} tapes, {stats['tape_nodes']} nodes, "
         f"grad arena {stats['grad_arena_bytes'] / 1e6:.1f} MB",
@@ -486,20 +419,22 @@ def generate_sanitizer_ab() -> str:
     contract**: with sanitizers off, ``Tensor._make_child`` *is* the
     original function object — not a wrapper with a flag check — so the
     disabled path cannot differ from a tree without the sanitizer module.
-    Rounds alternate off/on so wall-clock drift hits both arms equally;
-    the paired per-round ratio is the headline overhead figure.  Medians
-    land in the ``sanitizer_ab`` section of ``BENCH_graph_epoch.json``.
+    Each round runs one fresh ``fit`` per arm, alternating off/on so
+    wall-clock drift hits both arms equally; the paired per-round ratio
+    is the headline overhead figure.  Medians land in the
+    ``sanitizer_ab`` section of ``BENCH_graph_epoch.json``.
     """
     rounds = 1 if is_smoke() else 3
-    epochs_per_round = 2 if is_smoke() else 3
+    epochs_per_fit = 3 if is_smoke() else 4
     data = load_graph_dataset("proteins", seed=0)
-    trainer = GraphClassificationTrainer(TrainConfig(epochs=1,
-                                                     batch_size=32, seed=0))
-    model = make_graph_classifier("adamgnn", data.num_features, 2, seed=0)
+    config = TrainConfig(epochs=epochs_per_fit, patience=epochs_per_fit,
+                         batch_size=32, seed=0)
 
-    def epoch_ms() -> float:
-        seconds, _ = trainer.profile_one_epoch(model, data)
-        return seconds * 1000.0
+    def fit_ms() -> float:
+        model = make_graph_classifier("adamgnn", data.num_features, 2,
+                                      seed=0)
+        return steady_epoch_ms(GraphClassificationTrainer(config), model,
+                               data)[0]
 
     # Zero-cost-off contract, checked before any timing: the off arm runs
     # the exact original code objects.
@@ -507,21 +442,14 @@ def generate_sanitizer_ab() -> str:
         assert_unpatched()
         unpatched_make_child = Tensor._make_child
 
-    # Warm: the cold epoch pays the one-off structure precomputation and
-    # cache builds and belongs to neither arm.
-    with sanitizer_paused():
-        epoch_ms()
-
     off_medians, on_medians = [], []
     for _ in range(rounds):
         with sanitizer_paused():
             assert Tensor._make_child is unpatched_make_child
-            off_medians.append(statistics.median(
-                epoch_ms() for _ in range(epochs_per_round)))
+            off_medians.append(fit_ms())
         with sanitize():
             assert Tensor._make_child is not unpatched_make_child
-            on_medians.append(statistics.median(
-                epoch_ms() for _ in range(epochs_per_round)))
+            on_medians.append(fit_ms())
     with sanitizer_paused():
         assert_unpatched()
 
@@ -529,10 +457,10 @@ def generate_sanitizer_ab() -> str:
     on_ms = statistics.median(on_medians)
     paired = [on / off for off, on in zip(off_medians, on_medians)]
     payload = {
-        "environment": _environment(trainer.config.dtype),
-        "protocol": (f"interleaved A/B, {rounds} rounds, median of "
-                     f"{epochs_per_round} steady epochs per round per arm "
-                     f"(cold epoch excluded); off arm under "
+        "environment": _environment(config.dtype),
+        "protocol": (f"interleaved A/B, {rounds} rounds, one fit of "
+                     f"{epochs_per_fit} epochs per round per arm, median "
+                     f"with the cold epoch excluded; off arm under "
                      f"sanitizer_paused(); smoke={is_smoke()}"),
         "off_round_medians_ms": [round(v, 1) for v in off_medians],
         "on_round_medians_ms": [round(v, 1) for v in on_medians],
@@ -645,20 +573,12 @@ def generate_dp_scaling() -> str:
     }
     _merge_into_json("dp_scaling", payload)
 
-    # Extend the per-commit trajectory with the widest dp arm so the
-    # history records what a maximally parallel epoch costs here.
+    # Extend the widest dp arm's history series: what a maximally
+    # parallel epoch costs here.
     top = max(procs_sweep)
-    contents = _load_json()
-    history = contents.setdefault("history", [])
-    entry = {"commit": _current_commit(),
-             "median_epoch_ms": round(medians[f"dp{top}"], 1),
-             "dtype": dtype, "dp_procs": top}
-    if history and history[-1].get("commit") == entry["commit"] \
-            and history[-1].get("dp_procs"):
-        history[-1] = entry
-    else:
-        history.append(entry)
-    _save_json(contents)
+    _record_history("dp_scaling", {"workload": "proteins", "dtype": dtype,
+                                   "dp_procs": top, "timed": "fit_epoch"},
+                    medians[f"dp{top}"])
 
     lines = [f"plain serial:          {medians['plain']:8.1f} ms/epoch  "
              f"rounds {payload['round_medians_ms']['plain']}"]

@@ -27,7 +27,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Union
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -122,14 +122,84 @@ def run_isolated(fn, *args, **kwargs):
 
 
 def current_commit() -> str:
-    """Short hash of HEAD, or ``"unknown"`` outside a usable git checkout."""
-    try:
+    """Short hash of HEAD, suffixed ``-dirty`` when tracked files differ
+    from it (the figure then measures uncommitted code), or
+    ``"unknown"`` outside a usable git checkout."""
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
-            text=True, timeout=10, check=True).stdout.strip() or "unknown"
+            ["git", *args], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+            check=True).stdout.strip()
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except Exception:
         return "unknown"
+    if not head:
+        return "unknown"
+    return f"{head}-dirty" if dirty else head
+
+
+# ---------------------------------------------------------------------------
+# Per-commit history, one series per (section, config)
+# ---------------------------------------------------------------------------
+#: Config fields of the flat history list that mixed configurations; they
+#: move into the series key when the list is split.
+_LEGACY_CONFIG_FIELDS = ("dtype", "capture", "dp_procs")
+
+
+def history_key(section: str, config: Dict) -> str:
+    """Name of one history series, e.g.
+    ``"steady_state[dtype=float32,timed=fit_epoch,workload=proteins]"``."""
+    fields = ",".join(f"{name}={config[name]}" for name in sorted(config))
+    return f"{section}[{fields}]"
+
+
+def _legacy_series(entry: dict) -> str:
+    """Series of one entry of the flat list.  Every legacy entry timed the
+    PROTEINS epoch: ``dp_procs`` entries came from the data-parallel
+    sweep (``fit`` epochs), ``capture`` entries from the capture A/B and
+    the rest from the steady-state section (both timed the training
+    steps of a re-seeded epoch without the validation pass)."""
+    config = {"workload": "proteins", "dtype": entry.get("dtype", "float32")}
+    if entry.get("dp_procs"):
+        return history_key("dp_scaling", dict(
+            config, dp_procs=entry["dp_procs"], timed="fit_epoch"))
+    if entry.get("capture"):
+        return history_key("capture_ab", dict(
+            config, capture=True, timed="train_steps"))
+    return history_key("steady_state", dict(config, timed="train_steps"))
+
+
+def keyed_history(history: Union[List[dict], Dict[str, List[dict]]],
+                  ) -> Dict[str, List[dict]]:
+    """``history`` as one series per (section, config).
+
+    A flat list (the old format, which interleaved configurations) is
+    split by each entry's ``dtype``/``capture``/``dp_procs`` fields, in
+    recorded order; a keyed history is returned as is.
+    """
+    if isinstance(history, dict):
+        return history
+    series: Dict[str, List[dict]] = {}
+    for entry in history:
+        series.setdefault(_legacy_series(entry), []).append(
+            {k: v for k, v in entry.items()
+             if k not in _LEGACY_CONFIG_FIELDS})
+    return series
+
+
+def record_history(history: Dict[str, List[dict]], section: str,
+                   config: Dict, entry: dict) -> None:
+    """Append ``entry`` to the (section, config) series.  A rerun on the
+    commit that series last recorded replaces that entry; other series
+    are never touched."""
+    series = history.setdefault(history_key(section, config), [])
+    if series and series[-1].get("commit") == entry.get("commit"):
+        series[-1] = entry
+    else:
+        series.append(entry)
+
 
 #: Paper-reported values, used to print side-by-side comparisons.
 PAPER_TABLE1 = {

@@ -74,10 +74,11 @@ def main() -> None:
                          fanout=args.fanout, num_hops=2,
                          sampler=args.sampler,
                          max_steps_per_epoch=args.max_steps,
-                         profile=True, verbose=True)
+                         verbose=True)
 
+    trainer = NodeClassificationTrainer(config)
     start = time.perf_counter()
-    result = NodeClassificationTrainer(config).fit(model, dataset)
+    result = trainer.fit(model, dataset)
     seconds = time.perf_counter() - start
 
     steps = result.epochs_run * result.steps_per_epoch
@@ -85,14 +86,15 @@ def main() -> None:
           f"in {seconds:.2f} s ({seconds / max(1, steps):.3f} s/step)")
     print(f"Test accuracy: {result.test_accuracy:.4f} "
           f"(val {result.val_accuracy:.4f})")
-    sampler_stats = (result.cache_stats or {}).get("sampler", {})
+    stats = trainer.cache_stats(model)
+    sampler_stats = stats["sampler"]
     print(f"Sampler [{sampler_stats.get('policy')}]: "
           f"{sampler_stats.get('batches')} batches, "
           f"{sampler_stats.get('nodes_sampled'):,} nodes / "
           f"{sampler_stats.get('edges_sampled'):,} edges sampled, "
           f"mean batch {sampler_stats.get('mean_batch_nodes', 0.0):.0f} "
           f"nodes")
-    csc = (result.cache_stats or {}).get("csc_cache", {})
+    csc = stats["csc_cache"]
     print(f"CSC cache: {csc.get('hits')} hits / {csc.get('misses')} misses")
 
 

@@ -28,7 +28,6 @@ from ..layers import GCNConv, mean_max_readout
 from ..nn import Dropout, Linear, Module, ModuleList
 from ..tensor import Tensor, relu
 from ..tensor.workspace import ws_captured
-from ..utils.timing import profile_phase
 from .flyback import FlybackAggregator
 from .pooling import AdaptiveGraphPooling, PooledLevel
 from .structure import BatchStructure
@@ -146,17 +145,15 @@ class AdamGNN(Module):
                                                   dtype=x.data.dtype)
 
         x = self.dropout(x)
-        with profile_phase("normalize"):
-            # Level-0 structure is constant across epochs → precomputed
-            # (minibatch composition) or memoised (full-batch identity).
-            if structure is not None:
-                norm_e, norm_w = (structure.norm_edge_index,
-                                  structure.norm_edge_weight)
-            else:
-                norm_e, norm_w = cache.normalized_edges(edge_index,
-                                                        edge_weight, n)
-        with profile_phase("conv"):
-            h0 = relu(self.input_conv(x, norm_e, norm_w, num_nodes=n))
+        # Level-0 structure is constant across epochs → precomputed
+        # (minibatch composition) or memoised (full-batch identity).
+        if structure is not None:
+            norm_e, norm_w = (structure.norm_edge_index,
+                              structure.norm_edge_weight)
+        else:
+            norm_e, norm_w = cache.normalized_edges(edge_index,
+                                                    edge_weight, n)
+        h0 = relu(self.input_conv(x, norm_e, norm_w, num_nodes=n))
 
         levels: List[PooledLevel] = []
         messages: List[Tensor] = []
@@ -182,33 +179,29 @@ class AdamGNN(Module):
                 # No coarsening progress — extra levels would only repeat
                 # the same structure.
                 break
-            with profile_phase("normalize"):
-                # Purely structural given the level's connectivity, so a
-                # serving arena replays it with the captured edges; in
-                # training the pooled weights move with the fitness and
-                # this renormalises fresh every step.
-                norm_e, norm_w = ws_captured(
-                    lambda: normalize_edges(level.edge_index,
-                                            level.edge_weight, m))
-            with profile_phase("conv"):
-                h = relu(conv(level.x, norm_e, norm_w, num_nodes=m))
+            # Purely structural given the level's connectivity, so a
+            # serving arena replays it with the captured edges; in
+            # training the pooled weights move with the fitness and
+            # this renormalises fresh every step.
+            norm_e, norm_w = ws_captured(
+                lambda: normalize_edges(level.edge_index,
+                                        level.edge_weight, m))
+            h = relu(conv(level.x, norm_e, norm_w, num_nodes=m))
             levels.append(level)
-            with profile_phase("unpool"):
-                messages.append(unpool([lvl.assignment for lvl in levels], h,
-                                       normalize=self.normalize_unpool))
+            messages.append(unpool([lvl.assignment for lvl in levels], h,
+                                   normalize=self.normalize_unpool))
             edges_k, weight_k, batch_k = (level.edge_index,
                                           level.edge_weight, level.batch)
             if m < 2:
                 break
 
-        with profile_phase("flyback"):
-            if self.use_flyback:
-                combined, beta = self.flyback(h0, messages)
-            else:
-                combined = h0
-                beta = Tensor(np.zeros((len(messages), n),
-                                       dtype=h0.data.dtype),
-                              dtype=h0.data.dtype)
+        if self.use_flyback:
+            combined, beta = self.flyback(h0, messages)
+        else:
+            combined = h0
+            beta = Tensor(np.zeros((len(messages), n),
+                                   dtype=h0.data.dtype),
+                          dtype=h0.data.dtype)
 
         graph_repr = None
         if batch is not None:

@@ -26,7 +26,6 @@ from ..nn import Linear, Module, Parameter, init
 from ..tensor import (Tensor, gather_rows, gather_scale_segment_sum,
                       leaky_relu_project, segment_mean, segment_softmax)
 from ..tensor.workspace import ws_captured
-from ..utils.timing import profile_phase
 from .egonet import EgoNetworks, build_ego_networks, one_hop_neighbors
 from .fitness import FitnessScorer
 from .selection import (Assignment, build_assignment,
@@ -160,64 +159,59 @@ class AdaptiveGraphPooling(Module):
         graphs depend on learned fitness and are never passed either.
         """
         n = h.shape[0]
-        with profile_phase("egonet"):
-            if egos is not None:
-                if egos.radius != self.radius or egos.num_nodes != n:
-                    raise ValueError(
-                        f"precomputed ego-networks (radius {egos.radius}, "
-                        f"{egos.num_nodes} nodes) do not match this pooler "
-                        f"(radius {self.radius}, {n} nodes)")
-                if neighbors is None:
-                    neighbors = (egos if self.radius == 1
-                                 else one_hop_neighbors(edge_index, n))
-            elif cache is not None:
-                egos = cache.get(
-                    "ego-networks", (edge_index,), (n, self.radius),
-                    lambda: build_ego_networks(edge_index, n,
-                                               radius=self.radius))
-                neighbors = (egos if self.radius == 1 else cache.get(
-                    "ego-networks", (edge_index,), (n, 1),
-                    lambda: one_hop_neighbors(edge_index, n)))
-            else:
-                # Pooled-level structure: fresh every training step (it
-                # tracks the learned fitness — training arenas leave
-                # ws_captured as a passthrough), but captured by a serving
-                # arena — for a frozen model it is a pure function of the
-                # batch, so replays skip the sparse reachability products.
-                egos = ws_captured(
-                    lambda: build_ego_networks(edge_index, n,
-                                               radius=self.radius))
-                neighbors = (egos if self.radius == 1 else ws_captured(
-                    lambda: one_hop_neighbors(edge_index, n)))
-        with profile_phase("fitness"):
-            phi_pairs = self.fitness.pair_scores(h, egos)
-        with profile_phase("selection"):
-            # The selection outcome is the data-dependent control flow of
-            # the forward; a serving arena records it (with the assembled
-            # S_k and the per-node fitness diagnostic, neither of which
-            # carries gradient for a frozen model) and replays the same
-            # Assignment.  In training the selection moves with the
-            # learned fitness every step — and the unpooling path
-            # differentiates through ``assignment.values`` — so the stage
-            # runs fresh per step (training arenas pass ws_captured
-            # through).
-            def _select():
-                phi_nodes = segment_mean(phi_pairs.reshape(-1, 1), egos.ego,
-                                         egos.num_nodes).reshape(-1)
-                selected = select_egos(phi_nodes.data, neighbors,
-                                       egos.sizes())
-                return (build_assignment(phi_pairs, egos, selected),
-                        phi_nodes.data.copy())
-            assignment, phi_node_values = ws_captured(_select)
-        with profile_phase("hyper_features"):
-            x_k = self.features(h, phi_pairs, egos, assignment)
-        with profile_phase("connectivity"):
-            # Detached for a frozen model, so a serving replay changes no
-            # value anywhere; in training the weights of A_k track the
-            # learned fitness, so the sparse product reruns every step.
-            new_edges, new_weight = ws_captured(
-                lambda: hyper_graph_connectivity(assignment, edge_index,
-                                                 edge_weight))
+        if egos is not None:
+            if egos.radius != self.radius or egos.num_nodes != n:
+                raise ValueError(
+                    f"precomputed ego-networks (radius {egos.radius}, "
+                    f"{egos.num_nodes} nodes) do not match this pooler "
+                    f"(radius {self.radius}, {n} nodes)")
+            if neighbors is None:
+                neighbors = (egos if self.radius == 1
+                             else one_hop_neighbors(edge_index, n))
+        elif cache is not None:
+            egos = cache.get(
+                "ego-networks", (edge_index,), (n, self.radius),
+                lambda: build_ego_networks(edge_index, n,
+                                           radius=self.radius))
+            neighbors = (egos if self.radius == 1 else cache.get(
+                "ego-networks", (edge_index,), (n, 1),
+                lambda: one_hop_neighbors(edge_index, n)))
+        else:
+            # Pooled-level structure: fresh every training step (it
+            # tracks the learned fitness — training arenas leave
+            # ws_captured as a passthrough), but captured by a serving
+            # arena — for a frozen model it is a pure function of the
+            # batch, so replays skip the sparse reachability products.
+            egos = ws_captured(
+                lambda: build_ego_networks(edge_index, n,
+                                           radius=self.radius))
+            neighbors = (egos if self.radius == 1 else ws_captured(
+                lambda: one_hop_neighbors(edge_index, n)))
+        phi_pairs = self.fitness.pair_scores(h, egos)
+        # The selection outcome is the data-dependent control flow of
+        # the forward; a serving arena records it (with the assembled
+        # S_k and the per-node fitness diagnostic, neither of which
+        # carries gradient for a frozen model) and replays the same
+        # Assignment.  In training the selection moves with the
+        # learned fitness every step — and the unpooling path
+        # differentiates through ``assignment.values`` — so the stage
+        # runs fresh per step (training arenas pass ws_captured
+        # through).
+        def _select():
+            phi_nodes = segment_mean(phi_pairs.reshape(-1, 1), egos.ego,
+                                     egos.num_nodes).reshape(-1)
+            selected = select_egos(phi_nodes.data, neighbors,
+                                   egos.sizes())
+            return (build_assignment(phi_pairs, egos, selected),
+                    phi_nodes.data.copy())
+        assignment, phi_node_values = ws_captured(_select)
+        x_k = self.features(h, phi_pairs, egos, assignment)
+        # Detached for a frozen model, so a serving replay changes no
+        # value anywhere; in training the weights of A_k track the
+        # learned fitness, so the sparse product reruns every step.
+        new_edges, new_weight = ws_captured(
+            lambda: hyper_graph_connectivity(assignment, edge_index,
+                                             edge_weight))
         new_batch = (None if batch is None
                      else ws_captured(lambda: batch[assignment.seed_of_col]))
         return PooledLevel(x=x_k, edge_index=new_edges,

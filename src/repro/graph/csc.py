@@ -309,7 +309,7 @@ class CSCGraph:
 
 
 #: Identity-keyed CSC structures (weakly held) + hit/miss counters,
-#: surfaced through the trainers' ``cache_stats()`` profile report.
+#: surfaced through the node trainer's ``cache_stats(model)`` report.
 _CSC_CACHE: Dict[int, Tuple[weakref.ref, CSCGraph]] = {}
 _CSC_STATS = {"hits": 0, "misses": 0}
 

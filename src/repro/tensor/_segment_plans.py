@@ -313,7 +313,7 @@ def segment_plan_stats() -> dict:
     """Dict-shaped counters matching ``StructureCache.stats()``.
 
     The uniform shape lets trainers surface every cache's effectiveness
-    in one profile report (``TrainConfig(profile=True)``).
+    in one report (``trainer.cache_stats(model)``).
     """
     return {"hits": _HITS, "misses": _MISSES, "evictions": _EVICTIONS,
             "entries": len(_CACHE), "capacity": PLAN_CACHE_CAPACITY}

@@ -27,9 +27,9 @@ draws new chunk permutations every epoch, so eagerly capturing every step
 would fill the registry with tapes that never replay.  The registry
 therefore only *marks* a key on first visit and captures on the second:
 one recurrence is the cheapest available evidence that a key is stable
-enough to recur again.  Full-batch node training and the benchmark's
-re-seeded epoch loop reach replay from the third visit on; one-shot keys
-cost one bounded registry slot and nothing else.
+enough to recur again.  Full-batch node training reaches replay from the
+third visit on; one-shot keys cost one bounded registry slot and nothing
+else.
 
 Fallback
 --------
@@ -50,7 +50,6 @@ import numpy as np
 
 from ..tensor import TapeInvalid, TrainingTape, Workspace
 from ..tensor.workspace import use_training_workspace
-from ..utils.timing import profile_phase
 
 __all__ = ["StepCapture", "CaptureEntry", "model_rngs"]
 
@@ -159,8 +158,7 @@ class StepCapture:
         """Run forward + loss + backward for one step, captured if possible.
 
         ``forward_loss()`` performs the model forward and loss construction
-        (with the caller's own profiling scopes) and returns the scalar
-        loss tensor; this method owns the backward phase.  Returns the
+        and returns the scalar loss tensor; this method owns the backward phase.  Returns the
         loss tensor.  On :class:`TapeInvalid` the entry is dropped, the
         states of ``rngs`` (every generator the step consumes: the
         trainer's sampler *and* the model's dropout streams) are restored
@@ -171,8 +169,7 @@ class StepCapture:
         if entry is None:
             self.uncaptured_steps += 1
             loss = forward_loss()
-            with profile_phase("backward"):
-                loss.backward()
+            loss.backward()
             return loss
         replaying = entry.tape.captured
         rng_states = [g.bit_generator.state for g in rngs]
@@ -180,8 +177,7 @@ class StepCapture:
             with entry.tape.active_pass(), \
                     use_training_workspace(self.arena):
                 loss = forward_loss()
-                with profile_phase("backward"):
-                    entry.tape.backward(loss)
+                entry.tape.backward(loss)
         except TapeInvalid:
             self.invalidate(pins, dtype)
             self.fallbacks += 1
@@ -189,8 +185,7 @@ class StepCapture:
                 g.bit_generator.state = state
             self.uncaptured_steps += 1
             loss = forward_loss()
-            with profile_phase("backward"):
-                loss.backward()
+            loss.backward()
             return loss
         except BaseException:
             # A half-recorded tape (or half-replayed arena) must not be

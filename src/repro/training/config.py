@@ -27,7 +27,6 @@ class TrainConfig:
     use_recon: bool = True    #: include L_R (ablation hook, Table 3)
     seed: int = 0
     verbose: bool = False
-    profile: bool = False     #: collect per-epoch phase timings (Table 4)
     #: Compute precision of the training run: "float32" (default) or
     #: "float64".  The trainer casts the model, the input graphs and all
     #: precomputed structure to this dtype and scopes the run in

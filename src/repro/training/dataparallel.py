@@ -92,7 +92,6 @@ from ..tensor import _comm
 from ..tensor._comm import (CommUnavailable, LocalFlatComm, SharedFlatComm,
                             probe_shared_memory, publish_params,
                             reduce_lanes, write_lane)
-from ..utils.timing import PhaseTimer, profile_phase
 from .config import TrainConfig
 from .early_stopping import EarlyStopping
 from .graph_trainer import (GraphClassificationTrainer, GraphTrainResult,
@@ -168,14 +167,13 @@ class _ShardRunner:
 
     def _collate(self, chunk: np.ndarray):
         """One chunk through the trainer's collation path."""
-        with profile_phase("collate"):
-            if self.structures is None:
-                y = (self.dataset.labels(chunk)
-                     if self.dataset.label_array is not None else None)
-                return (GraphBatch.from_graphs(self.dataset.subset(chunk),
-                                               y=y)
-                        .astype(self.cfg.dtype), None)
-            return self.structures.batch(chunk)
+        if self.structures is None:
+            y = (self.dataset.labels(chunk)
+                 if self.dataset.label_array is not None else None)
+            return (GraphBatch.from_graphs(self.dataset.subset(chunk),
+                                           y=y)
+                    .astype(self.cfg.dtype), None)
+        return self.structures.batch(chunk)
 
     def run_step(self, t: int, lanes: np.ndarray) -> None:
         """Run step ``t`` of every owned shard and write its lane."""
@@ -212,17 +210,14 @@ def _worker_main(conn, shard_ids: List[int], cfg: TrainConfig,
     """Worker process entry point: attach segments, serve the protocol.
 
     On ``("stop", ...)`` the worker replies ``("stopped", report)`` where
-    ``report`` carries its private cache counters (and phase timings when
-    profiling) so the coordinator can fold them into the run's stats —
-    worker caches are otherwise invisible to the parent process.
+    ``report`` carries its private cache counters so the coordinator can
+    fold them into the run's stats — worker caches are otherwise
+    invisible to the parent process.
     """
     comm = None
     try:
         comm = SharedFlatComm.attach(comm_spec)
-        profiler = PhaseTimer() if cfg.profile else None
-        scope = (profiler.activate() if profiler
-                 else contextlib.nullcontext())
-        with _enter_runtime(runtime), default_dtype(cfg.dtype), scope:
+        with _enter_runtime(runtime), default_dtype(cfg.dtype):
             runner = _ShardRunner(cfg, model, dataset, shard_ids,
                                   assignment)
             step = 0
@@ -246,11 +241,7 @@ def _worker_main(conn, shard_ids: List[int], cfg: TrainConfig,
                             f"unexpected message {reply[0]!r}")
                     runner.load_params(comm.params)
                     step += 1
-                else:
-                    if profiler:
-                        profiler.end_epoch()
             conn.send(("stopped", {
-                "phases": profiler.mean_epoch() if profiler else None,
                 "cache_stats": runner.trainer.cache_stats(runner.model),
             }))
     except BaseException:
@@ -465,9 +456,6 @@ class ShardedTrainer:
         reduced = np.zeros(flat.total_size, dtype=ACCUM_DTYPE)
         history: List[float] = []
         epoch_seconds: List[float] = []
-        profiler = PhaseTimer() if cfg.profile else None
-        scope = (profiler.activate() if profiler
-                 else contextlib.nullcontext())
 
         if num_procs > 1:
             import multiprocessing as mp
@@ -496,7 +484,7 @@ class ShardedTrainer:
         lanes = None
         reports: List[Dict] = []
         try:
-            with scope, default_dtype(cfg.dtype):
+            with default_dtype(cfg.dtype):
                 for epoch in range(cfg.epochs):
                     epochs_run = epoch + 1
                     epoch_start = time.perf_counter()
@@ -504,26 +492,19 @@ class ShardedTrainer:
                     for t in range(assignment.steps_per_epoch):
                         stepper.collect(t)
                         lanes = comm.lanes(step)
-                        with profile_phase("reduce"):
-                            weight = reduce_lanes(lanes, reduced)
-                        with profile_phase("optimizer"):
-                            if weight > 0.0:
-                                flat.load_grads(reduced)
-                                if cfg.grad_clip:
-                                    clip_grad_norm(flat.params,
-                                                   cfg.grad_clip)
-                                optimizer.step()
-                            publish_params(comm.params, flat)
+                        weight = reduce_lanes(lanes, reduced)
+                        if weight > 0.0:
+                            flat.load_grads(reduced)
+                            if cfg.grad_clip:
+                                clip_grad_norm(flat.params, cfg.grad_clip)
+                            optimizer.step()
+                        publish_params(comm.params, flat)
                         stepper.release(t)
                         step += 1
 
-                    with profile_phase("eval"):
-                        val_acc = self.evaluate(model, dataset,
-                                                dataset.val_index)
+                    val_acc = self.evaluate(model, dataset, dataset.val_index)
                     history.append(val_acc)
                     epoch_seconds.append(time.perf_counter() - epoch_start)
-                    if profiler:
-                        profiler.end_epoch()
                     if cfg.verbose:
                         print(f"epoch {epoch:3d}  val {val_acc:.4f}")
                     if stopper.step(val_acc, model):
@@ -540,9 +521,8 @@ class ShardedTrainer:
         elapsed = time.perf_counter() - start
         stopper.restore(model)
         # Fold the workers' private cache counters into the trainer's
-        # view, and their phase seconds into this run's profile.  The
-        # serial mode has nothing to fold: its runner shared the inner
-        # trainer and the coordinator's profiler directly.
+        # view.  The serial mode has nothing to fold: its runner shared
+        # the inner trainer directly.
         worker_stats = [r["cache_stats"] for r in reports
                         if r.get("cache_stats")]
         if worker_stats:
@@ -550,12 +530,6 @@ class ShardedTrainer:
             for stats in worker_stats:
                 merged = _merge_stat_sections(merged, stats)
             self._inner._dp_worker_stats = merged
-        phase_seconds = profiler.mean_epoch() if profiler else None
-        if phase_seconds is not None:
-            for report in reports:
-                for name, secs in (report.get("phases") or {}).items():
-                    phase_seconds[name] = (phase_seconds.get(name, 0.0)
-                                           + secs)
         return GraphTrainResult(
             test_accuracy=self.evaluate(model, dataset,
                                         dataset.test_index),
@@ -564,9 +538,6 @@ class ShardedTrainer:
             seconds=elapsed,
             seconds_per_epoch=elapsed / max(epochs_run, 1),
             history=history,
-            phase_seconds=phase_seconds,
-            cache_stats=(self._inner.cache_stats(model) if profiler
-                         else None),
             epoch_seconds=epoch_seconds,
             sharding={
                 "mode": "procs" if num_procs > 1 else "serial",

@@ -18,7 +18,6 @@ batches themselves are cached by index chunk so the fixed val/test chunks
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -35,7 +34,6 @@ from ..graph import GraphBatch
 from ..nn import Module, cross_entropy
 from ..optim import Adam, clip_grad_norm
 from ..tensor import Tensor, default_dtype, no_grad, segment_plan_stats
-from ..utils.timing import PhaseTimer, profile_phase
 from .capture import StepCapture, model_rngs
 from .config import TrainConfig
 from .early_stopping import EarlyStopping
@@ -52,10 +50,6 @@ class GraphTrainResult:
     seconds: float
     seconds_per_epoch: float
     history: List[float] = field(default_factory=list)
-    #: mean seconds per phase per epoch (only with ``config.profile``)
-    phase_seconds: Optional[Dict[str, float]] = None
-    #: per-cache hit/miss counters (only with ``config.profile``)
-    cache_stats: Optional[Dict[str, dict]] = None
     #: wall seconds of each epoch (steps + eval), in epoch order
     epoch_seconds: Optional[List[float]] = None
     #: data-parallel run record: mode, effective process count, fallback
@@ -171,21 +165,15 @@ class GraphClassificationTrainer:
             chunk = order[lo:lo + self.config.batch_size]
             if not chunk.size:
                 continue
-            # Build inside the scope, yield outside it — a yield inside
-            # the scope would bill the consumer's loop body to "collate".
-            with profile_phase("collate"):
-                if structures is None:
-                    y = (dataset.labels(chunk)
-                         if dataset.label_array is not None else None)
-                    # The escape-hatch path also runs at compute precision
-                    # (the cached pipeline casts member graphs at init).
-                    item = (GraphBatch.from_graphs(dataset.subset(chunk),
-                                                   y=y)
-                            .astype(self.config.dtype),
-                            None)
-                else:
-                    item = structures.batch(chunk)
-            yield item
+            if structures is None:
+                y = (dataset.labels(chunk)
+                     if dataset.label_array is not None else None)
+                # The escape-hatch path also runs at compute precision
+                # (the cached pipeline casts member graphs at init).
+                yield (GraphBatch.from_graphs(dataset.subset(chunk), y=y)
+                       .astype(self.config.dtype), None)
+            else:
+                yield structures.batch(chunk)
 
     def cache_stats(self, model: Optional[Module] = None,
                     ) -> Dict[str, dict]:
@@ -213,19 +201,16 @@ class GraphClassificationTrainer:
         The capture key pins the batch and (when present) its composed
         structure — the content-keyed batch cache hands back the same
         objects for a recurring chunk, so identity *is* the
-        frozen-structure contract.  With capture off this is exactly the
-        original three profiled phases.
+        frozen-structure contract.  With capture off this is a plain
+        forward, loss and backward.
         """
         def forward_loss() -> Tensor:
-            with profile_phase("forward"):
-                logits, extra = _model_forward(model, batch, structure)
-            with profile_phase("loss"):
-                return self._loss(logits, extra, batch, rng)
+            logits, extra = _model_forward(model, batch, structure)
+            return self._loss(logits, extra, batch, rng)
 
         if self._capture is None:
             loss = forward_loss()
-            with profile_phase("backward"):
-                loss.backward()
+            loss.backward()
             return loss
         pins = (batch,) if structure is None else (batch, structure)
         return self._capture.run_step(pins, self.config.dtype, rngs,
@@ -308,12 +293,10 @@ class GraphClassificationTrainer:
         epoch_seconds: List[float] = []
         start = time.perf_counter()
         epochs_run = 0
-        profiler = PhaseTimer() if cfg.profile else None
-        scope = profiler.activate() if profiler else contextlib.nullcontext()
         structures = self._structures_for(model, dataset)
         rngs = [rng] + model_rngs(model)
 
-        with scope, default_dtype(cfg.dtype):
+        with default_dtype(cfg.dtype):
             for epoch in range(cfg.epochs):
                 epochs_run = epoch + 1
                 epoch_start = time.perf_counter()
@@ -322,17 +305,13 @@ class GraphClassificationTrainer:
                         structures, dataset, dataset.train_index, rng=rng):
                     model.zero_grad()
                     self._train_step(model, batch, structure, rng, rngs)
-                    with profile_phase("optimizer"):
-                        if cfg.grad_clip:
-                            clip_grad_norm(model.parameters(), cfg.grad_clip)
-                        optimizer.step()
+                    if cfg.grad_clip:
+                        clip_grad_norm(model.parameters(), cfg.grad_clip)
+                    optimizer.step()
 
-                with profile_phase("eval"):
-                    val_acc = self.evaluate(model, dataset, dataset.val_index)
+                val_acc = self.evaluate(model, dataset, dataset.val_index)
                 history.append(val_acc)
                 epoch_seconds.append(time.perf_counter() - epoch_start)
-                if profiler:
-                    profiler.end_epoch()
                 if cfg.verbose:
                     print(f"epoch {epoch:3d}  val {val_acc:.4f}")
                 if stopper.step(val_acc, model):
@@ -347,43 +326,4 @@ class GraphClassificationTrainer:
             seconds=elapsed,
             seconds_per_epoch=elapsed / max(epochs_run, 1),
             history=history,
-            phase_seconds=profiler.mean_epoch() if profiler else None,
-            cache_stats=self.cache_stats(model) if profiler else None,
             epoch_seconds=epoch_seconds)
-
-    def time_one_epoch(self, model: Module, dataset: GraphDataset) -> float:
-        """Wall-clock seconds for a single training epoch (Table 4)."""
-        seconds, _ = self.profile_one_epoch(model, dataset)
-        return seconds
-
-    def profile_one_epoch(self, model: Module, dataset: GraphDataset,
-                          ) -> Tuple[float, Dict[str, float]]:
-        """One training epoch's wall seconds plus its phase breakdown.
-
-        Runs the same step as ``fit`` (gradient clipping included) and
-        reuses the trainer's structure pipeline across calls, so repeated
-        invocations on the same dataset measure the steady state: the
-        (seeded) chunk sequence repeats, and every collated batch is a
-        cache hit from the second call onward.
-        """
-        cfg = self.config
-        model.astype(cfg.dtype)
-        rng = make_rng(cfg.seed + 307)
-        optimizer = Adam(model.parameters(), lr=cfg.lr,
-                         weight_decay=cfg.weight_decay)
-        model.train()
-        structures = self._structures_for(model, dataset)
-        rngs = [rng] + model_rngs(model)
-        profiler = PhaseTimer()
-        start = time.perf_counter()
-        with profiler.activate(), default_dtype(cfg.dtype):
-            for batch, structure in self._batches(
-                    structures, dataset, dataset.train_index, rng=rng):
-                model.zero_grad()
-                self._train_step(model, batch, structure, rng, rngs)
-                with profile_phase("optimizer"):
-                    if cfg.grad_clip:
-                        clip_grad_norm(model.parameters(), cfg.grad_clip)
-                    optimizer.step()
-            profiler.end_epoch()
-        return time.perf_counter() - start, profiler.mean_epoch()

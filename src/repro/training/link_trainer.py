@@ -9,10 +9,9 @@ AdamGNN (Eq. 7, LP form).
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from ..graph import degree_features
 from ..nn import Module
 from ..optim import Adam, clip_grad_norm
 from ..tensor import Tensor, default_dtype, no_grad
-from ..utils.timing import PhaseTimer, profile_phase
 from .config import TrainConfig
 from .early_stopping import EarlyStopping
 from .metrics import roc_auc
@@ -40,8 +38,6 @@ class LinkTrainResult:
     epochs_run: int
     seconds: float
     history: List[float] = field(default_factory=list)
-    #: mean seconds per phase per epoch (only with ``config.profile``)
-    phase_seconds: Optional[Dict[str, float]] = None
 
 
 def _pair_scores(h, positives: np.ndarray, negatives: np.ndarray
@@ -86,43 +82,35 @@ class LinkPredictionTrainer:
         history: List[float] = []
         start = time.perf_counter()
         epochs_run = 0
-        profiler = PhaseTimer() if cfg.profile else None
-        scope = profiler.activate() if profiler else contextlib.nullcontext()
 
-        with scope, default_dtype(cfg.dtype):
+        with default_dtype(cfg.dtype):
             for epoch in range(cfg.epochs):
                 epochs_run = epoch + 1
                 model.train()
                 model.zero_grad()
-                with profile_phase("forward"):
-                    h, extra = self._encode(model, x, train_graph.edge_index,
-                                            train_graph.edge_weight)
-                with profile_phase("loss"):
-                    # L_task = L_R: BCE on training edges + fresh negatives.
-                    loss = sampled_reconstruction_loss(
-                        h, train_graph.edge_index, train_graph.num_nodes,
-                        rng, positive_pairs=splits.train_edges)
-                    if (isinstance(extra, AdamGNNOutput) and cfg.use_kl
-                            and cfg.gamma):
-                        loss = loss + self_optimisation_loss(
-                            h, extra.level1_egos()) * cfg.gamma
-                with profile_phase("backward"):
-                    loss.backward()
-                with profile_phase("optimizer"):
-                    if cfg.grad_clip:
-                        clip_grad_norm(model.parameters(), cfg.grad_clip)
-                    optimizer.step()
+                h, extra = self._encode(model, x, train_graph.edge_index,
+                                        train_graph.edge_weight)
+                # L_task = L_R: BCE on training edges + fresh negatives.
+                loss = sampled_reconstruction_loss(
+                    h, train_graph.edge_index, train_graph.num_nodes,
+                    rng, positive_pairs=splits.train_edges)
+                if (isinstance(extra, AdamGNNOutput) and cfg.use_kl
+                        and cfg.gamma):
+                    loss = loss + self_optimisation_loss(
+                        h, extra.level1_egos()) * cfg.gamma
+                loss.backward()
+                if cfg.grad_clip:
+                    clip_grad_norm(model.parameters(), cfg.grad_clip)
+                optimizer.step()
 
                 model.eval()
-                with profile_phase("eval"), no_grad():
+                with no_grad():
                     h, _ = self._encode(model, x, train_graph.edge_index,
                                         train_graph.edge_weight)
                     scores, labels = _pair_scores(h, splits.val_edges,
                                                   splits.val_negatives)
                     val_auc = roc_auc(scores, labels)
                 history.append(val_auc)
-                if profiler:
-                    profiler.end_epoch()
                 if cfg.verbose:
                     print(f"epoch {epoch:3d}  loss {loss.item():.4f}  "
                           f"val-auc {val_auc:.4f}")
@@ -143,5 +131,4 @@ class LinkPredictionTrainer:
             val_auc=roc_auc(val_scores, val_labels),
             epochs_run=epochs_run,
             seconds=time.perf_counter() - start,
-            history=history,
-            phase_seconds=profiler.mean_epoch() if profiler else None)
+            history=history)

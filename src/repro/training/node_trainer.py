@@ -7,10 +7,9 @@ losses ``γ·L_KL + δ·L_R`` for the latter (Eq. 7).
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from ..optim import Adam, clip_grad_norm
 from ..tensor import (Tensor, default_dtype, get_default_dtype, no_grad,
                       segment_plan_stats)
 from ..tensor.precision import ACCUM_DTYPE
-from ..utils.timing import PhaseTimer, profile_phase
 from .capture import StepCapture, model_rngs
 from .config import TrainConfig
 from .early_stopping import EarlyStopping
@@ -69,31 +67,11 @@ class NodeTrainResult:
     epochs_run: int
     seconds: float
     history: List[float] = field(default_factory=list)
-    #: mean seconds per phase per epoch (only with ``config.profile``)
-    phase_seconds: Optional[Dict[str, float]] = None
-    #: per-cache hit/miss counters (only with ``config.profile``)
-    cache_stats: Optional[Dict[str, dict]] = None
+    #: wall seconds of each epoch (steps + eval), in epoch order
+    epoch_seconds: List[float] = field(default_factory=list)
     #: optimizer steps per epoch (1 for full-batch, the minibatch count
     #: for sampled training)
     steps_per_epoch: int = 1
-
-
-def _cache_stats(model: Module,
-                 capture: Optional[StepCapture] = None,
-                 sampler: Optional[NeighborSampler] = None,
-                 ) -> Dict[str, dict]:
-    """Structure-cache + segment-plan counters for the profile report."""
-    stats: Dict[str, dict] = {"segment_plans": segment_plan_stats()}
-    structure_cache = getattr(getattr(model, "encoder", None),
-                              "structure_cache", None)
-    if structure_cache is not None:
-        stats["structure_cache"] = structure_cache.stats()
-    if capture is not None:
-        stats["training_tape"] = capture.stats()
-    if sampler is not None:
-        stats["sampler"] = sampler.stats()
-        stats["csc_cache"] = csc_cache_stats()
-    return stats
 
 
 class NodeClassificationTrainer:
@@ -106,6 +84,21 @@ class NodeClassificationTrainer:
             StepCapture() if self.config.capture else None
         #: neighbour-sampling policy of the last sampled fit (counters)
         self._sampler: Optional[NeighborSampler] = None
+
+    def cache_stats(self, model: Optional[Module] = None,
+                    ) -> Dict[str, dict]:
+        """Hit/miss counters of every cache the hot path touches."""
+        stats: Dict[str, dict] = {"segment_plans": segment_plan_stats()}
+        structure_cache = getattr(getattr(model, "encoder", None),
+                                  "structure_cache", None)
+        if structure_cache is not None:
+            stats["structure_cache"] = structure_cache.stats()
+        if self._capture is not None:
+            stats["training_tape"] = self._capture.stats()
+        if self._sampler is not None:
+            stats["sampler"] = self._sampler.stats()
+            stats["csc_cache"] = csc_cache_stats()
+        return stats
 
     def _forward(self, model: Module, x: Tensor, edge_index: np.ndarray,
                  edge_weight: np.ndarray):
@@ -126,25 +119,22 @@ class NodeClassificationTrainer:
         cfg = self.config
 
         def forward_loss() -> Tensor:
-            with profile_phase("forward"):
-                logits, extra = self._forward(model, x, graph.edge_index,
-                                              graph.edge_weight)
-            with profile_phase("loss"):
-                loss = cross_entropy(logits, labels, mask=train_mask)
-                if isinstance(extra, AdamGNNOutput):
-                    if cfg.use_kl and cfg.gamma:
-                        loss = loss + self_optimisation_loss(
-                            extra.h, extra.level1_egos()) * cfg.gamma
-                    if cfg.use_recon and cfg.delta:
-                        loss = loss + sampled_reconstruction_loss(
-                            extra.h, graph.edge_index, graph.num_nodes,
-                            rng) * cfg.delta
-                return loss
+            logits, extra = self._forward(model, x, graph.edge_index,
+                                          graph.edge_weight)
+            loss = cross_entropy(logits, labels, mask=train_mask)
+            if isinstance(extra, AdamGNNOutput):
+                if cfg.use_kl and cfg.gamma:
+                    loss = loss + self_optimisation_loss(
+                        extra.h, extra.level1_egos()) * cfg.gamma
+                if cfg.use_recon and cfg.delta:
+                    loss = loss + sampled_reconstruction_loss(
+                        extra.h, graph.edge_index, graph.num_nodes,
+                        rng) * cfg.delta
+            return loss
 
         if self._capture is None:
             loss = forward_loss()
-            with profile_phase("backward"):
-                loss.backward()
+            loss.backward()
             return loss
         return self._capture.run_step((graph,), cfg.dtype, rngs,
                                       forward_loss)
@@ -172,32 +162,30 @@ class NodeClassificationTrainer:
                          weight_decay=cfg.weight_decay)
         stopper = EarlyStopping(patience=cfg.patience, mode="max")
         history: List[float] = []
+        epoch_seconds: List[float] = []
         start = time.perf_counter()
         epochs_run = 0
-        profiler = PhaseTimer() if cfg.profile else None
-        scope = profiler.activate() if profiler else contextlib.nullcontext()
 
         rngs = [rng] + model_rngs(model)
-        with scope, default_dtype(cfg.dtype):
+        with default_dtype(cfg.dtype):
             for epoch in range(cfg.epochs):
                 epochs_run = epoch + 1
+                epoch_start = time.perf_counter()
                 model.train()
                 model.zero_grad()
                 loss = self._train_step(model, graph, x, labels,
                                         masks["train"], rng, rngs)
-                with profile_phase("optimizer"):
-                    if cfg.grad_clip:
-                        clip_grad_norm(model.parameters(), cfg.grad_clip)
-                    optimizer.step()
+                if cfg.grad_clip:
+                    clip_grad_norm(model.parameters(), cfg.grad_clip)
+                optimizer.step()
 
                 model.eval()
-                with profile_phase("eval"), no_grad():
+                with no_grad():
                     logits, _ = self._forward(model, x, graph.edge_index,
                                               graph.edge_weight)
                     val_acc = accuracy(logits.data, labels, masks["val"])
                 history.append(val_acc)
-                if profiler:
-                    profiler.end_epoch()
+                epoch_seconds.append(time.perf_counter() - epoch_start)
                 if cfg.verbose:
                     print(f"epoch {epoch:3d}  loss {loss.item():.4f}  "
                           f"val {val_acc:.4f}")
@@ -215,9 +203,7 @@ class NodeClassificationTrainer:
             epochs_run=epochs_run,
             seconds=time.perf_counter() - start,
             history=history,
-            phase_seconds=profiler.mean_epoch() if profiler else None,
-            cache_stats=(_cache_stats(model, self._capture)
-                         if profiler else None))
+            epoch_seconds=epoch_seconds)
 
     # ------------------------------------------------------------------
     # Sampled minibatch path (DESIGN.md "Sampled minibatch training")
@@ -236,36 +222,31 @@ class NodeClassificationTrainer:
         so a capture key would never recur.
         """
         cfg = self.config
-        with profile_phase("sample"):
-            sub = sampler.sample(csc, seeds, rng_b)
-            x_sub = Tensor(features[sub.nodes], dtype=cfg.dtype,
-                           requires_grad=sampler.needs_input_grad)
-            sub_weight = np.ones(sub.num_edges, dtype=edge_weight_dtype)
+        sub = sampler.sample(csc, seeds, rng_b)
+        x_sub = Tensor(features[sub.nodes], dtype=cfg.dtype,
+                       requires_grad=sampler.needs_input_grad)
+        sub_weight = np.ones(sub.num_edges, dtype=edge_weight_dtype)
         model.zero_grad()
-        with profile_phase("forward"):
-            logits, extra = self._forward(model, x_sub, sub.edge_index,
-                                          sub_weight)
-        with profile_phase("loss"):
-            loss = cross_entropy(logits, labels[sub.nodes],
-                                 mask=sub.seed_mask())
-            if isinstance(extra, AdamGNNOutput):
-                if cfg.use_kl and cfg.gamma:
-                    loss = loss + self_optimisation_loss(
-                        extra.h, extra.level1_egos()) * cfg.gamma
-                if cfg.use_recon and cfg.delta:
-                    loss = loss + sampled_reconstruction_loss(
-                        extra.h, sub.edge_index, sub.num_nodes,
-                        rng_b) * cfg.delta
-        with profile_phase("backward"):
-            loss.backward()
+        logits, extra = self._forward(model, x_sub, sub.edge_index,
+                                      sub_weight)
+        loss = cross_entropy(logits, labels[sub.nodes],
+                             mask=sub.seed_mask())
+        if isinstance(extra, AdamGNNOutput):
+            if cfg.use_kl and cfg.gamma:
+                loss = loss + self_optimisation_loss(
+                    extra.h, extra.level1_egos()) * cfg.gamma
+            if cfg.use_recon and cfg.delta:
+                loss = loss + sampled_reconstruction_loss(
+                    extra.h, sub.edge_index, sub.num_nodes,
+                    rng_b) * cfg.delta
+        loss.backward()
         if x_sub.grad is not None:
             signal = np.sqrt(
                 (x_sub.grad.astype(ACCUM_DTYPE) ** 2).sum(axis=1))
             sampler.update(sub, signal)
-        with profile_phase("optimizer"):
-            if cfg.grad_clip:
-                clip_grad_norm(model.parameters(), cfg.grad_clip)
-            optimizer.step()
+        if cfg.grad_clip:
+            clip_grad_norm(model.parameters(), cfg.grad_clip)
+        optimizer.step()
         return loss
 
     def _evaluate_sampled(self, model: Module, csc: CSCGraph,
@@ -337,17 +318,17 @@ class NodeClassificationTrainer:
                          weight_decay=cfg.weight_decay)
         stopper = EarlyStopping(patience=cfg.patience, mode="max")
         history: List[float] = []
+        epoch_seconds: List[float] = []
         start = time.perf_counter()
         epochs_run = 0
         steps_per_epoch = max(1, -(-train_idx.size // cfg.node_batch_size))
         if cfg.max_steps_per_epoch is not None:
             steps_per_epoch = min(steps_per_epoch, cfg.max_steps_per_epoch)
-        profiler = PhaseTimer() if cfg.profile else None
-        scope = profiler.activate() if profiler else contextlib.nullcontext()
 
-        with scope, default_dtype(cfg.dtype):
+        with default_dtype(cfg.dtype):
             for epoch in range(cfg.epochs):
                 epochs_run = epoch + 1
+                epoch_start = time.perf_counter()
                 model.train()
                 perm = minibatch_rng(cfg.seed, epoch).permutation(train_idx)
                 loss = None
@@ -362,13 +343,12 @@ class NodeClassificationTrainer:
                         minibatch_rng(cfg.seed, epoch, b), optimizer)
 
                 model.eval()
-                with profile_phase("eval"), no_grad():
+                with no_grad():
                     val_acc = self._evaluate_sampled(model, csc, features,
                                                      labels, val_idx,
                                                      val_nets)
                 history.append(val_acc)
-                if profiler:
-                    profiler.end_epoch()
+                epoch_seconds.append(time.perf_counter() - epoch_start)
                 if cfg.verbose:
                     print(f"epoch {epoch:3d}  loss {loss.item():.4f}  "
                           f"val {val_acc:.4f}")
@@ -388,49 +368,8 @@ class NodeClassificationTrainer:
             epochs_run=epochs_run,
             seconds=time.perf_counter() - start,
             history=history,
-            phase_seconds=profiler.mean_epoch() if profiler else None,
-            cache_stats=(_cache_stats(model, self._capture, sampler)
-                         if profiler else None),
+            epoch_seconds=epoch_seconds,
             steps_per_epoch=steps_per_epoch)
-
-    def time_one_epoch(self, model: Module, dataset: NodeDataset,
-                       epochs: int = 4,
-                       ) -> Tuple[float, Dict[str, float]]:
-        """Mean wall seconds per *training* epoch, with phase breakdown.
-
-        Runs ``epochs`` full-batch training epochs (forward, loss,
-        backward, optimiser step — no eval pass, matching the Table-4
-        protocol) and averages all but the first, which pays the one-off
-        structural cache builds the later epochs reuse.
-        """
-        cfg = self.config
-        graph = dataset.graph.astype(cfg.dtype)
-        model.astype(cfg.dtype)
-        x = Tensor(prepare_node_features(dataset), dtype=cfg.dtype)
-        labels = np.asarray(graph.y, dtype=np.int64)
-        masks = dataset.splits.masks(graph.num_nodes)
-        rng = make_rng(cfg.seed + 101)
-        optimizer = Adam(model.parameters(), lr=cfg.lr,
-                         weight_decay=cfg.weight_decay)
-        profiler = PhaseTimer()
-        laps: List[float] = []
-        rngs = [rng] + model_rngs(model)
-        with profiler.activate(), default_dtype(cfg.dtype):
-            for _ in range(max(epochs, 1)):
-                model.train()
-                tic = time.perf_counter()
-                model.zero_grad()
-                self._train_step(model, graph, x, labels, masks["train"],
-                                 rng, rngs)
-                with profile_phase("optimizer"):
-                    if cfg.grad_clip:
-                        clip_grad_norm(model.parameters(), cfg.grad_clip)
-                    optimizer.step()
-                laps.append(time.perf_counter() - tic)
-                profiler.end_epoch()
-        steady = laps[1:] if len(laps) > 1 else laps
-        return (sum(steady) / len(steady),
-                profiler.mean_epoch(skip_first=True))
 
 
 def evaluate_node_model(model: Module, dataset: NodeDataset,

@@ -67,8 +67,8 @@ class NeighborSampler:
     Subclasses override :meth:`weights` (per-node scores the CSC sampler
     draws proportionally to) and :meth:`update` (the post-step learning
     signal hook).  The counters — batches, nodes/edges sampled (totals and
-    last batch), and a sampled in-degree histogram — surface through the
-    trainer's ``cache_stats()`` when ``TrainConfig(profile=True)``.
+    last batch), and a sampled in-degree histogram — surface through
+    ``NodeClassificationTrainer.cache_stats(model)`` after a sampled fit.
     """
 
     name = "base"
@@ -118,7 +118,7 @@ class NeighborSampler:
         return sub
 
     def stats(self) -> Dict:
-        """Counter snapshot for the profile report."""
+        """Counter snapshot for ``trainer.cache_stats(model)``."""
         hist = self.fanout_hist
         populated = int(np.flatnonzero(hist)[-1]) + 1 if hist.any() else 0
         return {

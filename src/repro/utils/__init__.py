@@ -1,7 +1,6 @@
 """Utility helpers: checkpointing and timing."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .timing import PhaseTimer, Timer, active_phase_timer, profile_phase
+from .timing import Timer
 
-__all__ = ["load_checkpoint", "save_checkpoint", "PhaseTimer", "Timer",
-           "active_phase_timer", "profile_phase"]
+__all__ = ["load_checkpoint", "save_checkpoint", "Timer"]

@@ -1,21 +1,14 @@
-"""Lightweight wall-clock timing (used by the Table-4 style analyses).
+"""Lightweight wall-clock timing: a context-manager stopwatch.
 
-Two layers:
-
-* :class:`Timer` — the original context-manager stopwatch.
-* :class:`PhaseTimer` + :func:`profile_phase` — scoped phase timers for the
-  training hot path.  Library code wraps its phases in
-  ``with profile_phase("conv"): ...``; when no :class:`PhaseTimer` is
-  active this is a no-op costing one truthiness check, so instrumentation
-  can stay in production code.  A trainer activates a timer around its
-  epoch loop and calls :meth:`PhaseTimer.end_epoch` once per epoch to get
-  per-epoch phase breakdowns.
+The program carries no phase tracer.  The per-layer split of a ``fit`` or
+a served request comes from the benchmark suite's outside tracer
+(``python3 benchmarks/suite/run.py --workload W --seed 1 --trace 1``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import List
 
 
 class Timer:
@@ -51,131 +44,3 @@ class Timer:
     def mean(self) -> float:
         """Mean lap length in seconds (0 when no laps recorded)."""
         return self.total / len(self.laps) if self.laps else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Scoped phase timers
-# ---------------------------------------------------------------------------
-#: Stack of currently-active PhaseTimers; profile_phase records into the
-#: innermost one.  Empty in normal (unprofiled) runs.
-_ACTIVE: List["PhaseTimer"] = []
-
-
-class PhaseTimer:
-    """Accumulates named phase durations with per-epoch aggregation.
-
-    Usage::
-
-        profiler = PhaseTimer()
-        with profiler.activate():
-            for epoch in range(epochs):
-                ...  # code containing profile_phase(...) scopes
-                profiler.end_epoch()
-        breakdown = profiler.mean_epoch()
-    """
-
-    def __init__(self) -> None:
-        self.totals: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
-        self.epochs: List[Dict[str, float]] = []
-        self._epoch_mark: Dict[str, float] = {}
-
-    def add(self, name: str, seconds: float) -> None:
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    # -- activation -----------------------------------------------------
-    def activate(self) -> "_Activation":
-        """Context manager making this the timer ``profile_phase`` feeds."""
-        return _Activation(self)
-
-    # -- epoch aggregation ----------------------------------------------
-    def end_epoch(self) -> Dict[str, float]:
-        """Snapshot phase durations since the previous ``end_epoch``."""
-        epoch = {name: total - self._epoch_mark.get(name, 0.0)
-                 for name, total in self.totals.items()}
-        self._epoch_mark = dict(self.totals)
-        self.epochs.append(epoch)
-        return epoch
-
-    def mean_epoch(self, skip_first: bool = False) -> Dict[str, float]:
-        """Mean seconds per phase per epoch.
-
-        ``skip_first`` drops epoch 1, which pays the one-off structural
-        builds that the caches amortise away for epochs 2..N.
-        """
-        epochs = self.epochs[1:] if skip_first and len(self.epochs) > 1 \
-            else self.epochs
-        if not epochs:
-            return {}
-        names = sorted({name for epoch in epochs for name in epoch})
-        return {name: sum(e.get(name, 0.0) for e in epochs) / len(epochs)
-                for name in names}
-
-    # -- reporting -------------------------------------------------------
-    def report(self) -> str:
-        """Aligned text table of total seconds per phase (for verbose logs)."""
-        if not self.totals:
-            return "(no phases recorded)"
-        width = max(len(name) for name in self.totals)
-        lines = [f"{name:<{width}}  {self.totals[name]:9.4f}s  "
-                 f"x{self.counts[name]}"
-                 for name in sorted(self.totals,
-                                    key=self.totals.get, reverse=True)]
-        return "\n".join(lines)
-
-
-class _Activation:
-    __slots__ = ("_timer",)
-
-    def __init__(self, timer: PhaseTimer) -> None:
-        self._timer = timer
-
-    def __enter__(self) -> PhaseTimer:
-        _ACTIVE.append(self._timer)
-        return self._timer
-
-    def __exit__(self, *exc_info) -> None:
-        _ACTIVE.remove(self._timer)
-
-
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
-
-
-class _PhaseScope:
-    __slots__ = ("_name", "_start")
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._start = time.perf_counter()
-
-    def __exit__(self, *exc_info) -> None:
-        _ACTIVE[-1].add(self._name, time.perf_counter() - self._start)
-
-
-def profile_phase(name: str):
-    """Scope whose duration is recorded under ``name`` when profiling.
-
-    Returns a shared no-op context manager when no :class:`PhaseTimer` is
-    active, so instrumented hot paths pay (almost) nothing by default.
-    """
-    if not _ACTIVE:
-        return _NULL_SCOPE
-    return _PhaseScope(name)
-
-
-def active_phase_timer() -> Optional[PhaseTimer]:
-    """The PhaseTimer currently receiving ``profile_phase`` scopes, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None

@@ -66,113 +66,3 @@ class TestTimer:
     def test_exit_without_enter(self):
         with pytest.raises(RuntimeError):
             Timer().__exit__(None, None, None)
-
-
-class TestPhaseTimer:
-    def test_records_phases_only_while_active(self):
-        from repro.utils import PhaseTimer, profile_phase
-
-        profiler = PhaseTimer()
-        with profile_phase("outside"):
-            pass
-        with profiler.activate():
-            with profile_phase("conv"):
-                sum(range(100))
-            with profile_phase("conv"):
-                pass
-            with profile_phase("loss"):
-                pass
-        with profile_phase("after"):
-            pass
-        assert set(profiler.totals) == {"conv", "loss"}
-        assert profiler.counts["conv"] == 2
-        assert profiler.totals["conv"] >= 0.0
-
-    def test_noop_scope_is_shared_singleton(self):
-        from repro.utils import profile_phase
-        from repro.utils.timing import _NULL_SCOPE
-
-        assert profile_phase("anything") is _NULL_SCOPE
-
-    def test_active_phase_timer(self):
-        from repro.utils import PhaseTimer, active_phase_timer
-
-        assert active_phase_timer() is None
-        profiler = PhaseTimer()
-        with profiler.activate():
-            assert active_phase_timer() is profiler
-        assert active_phase_timer() is None
-
-    def test_nested_activation_feeds_innermost(self):
-        from repro.utils import PhaseTimer, profile_phase
-
-        outer, inner = PhaseTimer(), PhaseTimer()
-        with outer.activate():
-            with inner.activate():
-                with profile_phase("work"):
-                    pass
-        assert "work" in inner.totals
-        assert "work" not in outer.totals
-
-    def test_end_epoch_snapshots_deltas(self):
-        from repro.utils import PhaseTimer
-
-        profiler = PhaseTimer()
-        profiler.add("conv", 1.0)
-        first = profiler.end_epoch()
-        profiler.add("conv", 0.5)
-        profiler.add("loss", 0.25)
-        second = profiler.end_epoch()
-        assert first == {"conv": 1.0}
-        assert second == pytest.approx({"conv": 0.5, "loss": 0.25})
-
-    def test_mean_epoch_skip_first(self):
-        from repro.utils import PhaseTimer
-
-        profiler = PhaseTimer()
-        for seconds in (9.0, 1.0, 3.0):   # warm-up epoch then steady state
-            profiler.add("conv", seconds)
-            profiler.end_epoch()
-        assert profiler.mean_epoch()["conv"] == pytest.approx(13.0 / 3)
-        assert profiler.mean_epoch(skip_first=True)["conv"] \
-            == pytest.approx(2.0)
-
-    def test_mean_epoch_empty(self):
-        from repro.utils import PhaseTimer
-
-        assert PhaseTimer().mean_epoch() == {}
-
-    def test_report_lists_phases(self):
-        from repro.utils import PhaseTimer
-
-        profiler = PhaseTimer()
-        assert profiler.report() == "(no phases recorded)"
-        profiler.add("conv", 2.0)
-        profiler.add("loss", 1.0)
-        report = profiler.report()
-        assert report.index("conv") < report.index("loss")  # sorted by total
-
-
-class TestTrainerProfiling:
-    def test_fit_populates_phase_seconds(self):
-        from repro.datasets import load_node_dataset
-        from repro.training import TrainConfig
-        from repro.training.experiment import make_node_classifier
-        from repro.training.node_trainer import (NodeClassificationTrainer,
-                                                 prepare_node_features)
-
-        data = load_node_dataset("cora", seed=0)
-        features = prepare_node_features(data)
-        model = make_node_classifier("gcn", features.shape[1],
-                                     data.num_classes, seed=0)
-        cfg = TrainConfig(epochs=2, patience=10, profile=True)
-        result = NodeClassificationTrainer(cfg).fit(model, data)
-        assert result.phase_seconds is not None
-        for phase in ("forward", "loss", "backward", "optimizer"):
-            assert phase in result.phase_seconds
-            assert result.phase_seconds[phase] >= 0.0
-        # Default config leaves profiling off.
-        off = NodeClassificationTrainer(TrainConfig(epochs=1)).fit(
-            make_node_classifier("gcn", features.shape[1],
-                                 data.num_classes, seed=0), data)
-        assert off.phase_seconds is None

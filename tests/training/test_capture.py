@@ -16,7 +16,9 @@ import pytest
 from repro.core import AdamGNNNodeClassifier
 from repro.datasets import GraphDataset, NodeDataset, load_graph_dataset, \
     split_graphs, split_nodes
-from repro.tensor import Tensor, clear_plan_cache, naive_kernels, relu
+from repro.optim import Adam, clip_grad_norm
+from repro.tensor import (Tensor, clear_plan_cache, default_dtype,
+                          naive_kernels, relu)
 from repro.tensor.tape import TapeInvalid
 from repro.training import (GraphClassificationTrainer,
                             NodeClassificationTrainer, TrainConfig,
@@ -66,7 +68,7 @@ def test_graph_training_parity_bitwise(name, graph_dataset):
     # fit() draws fresh chunk permutations per epoch, so most keys never
     # recur and the second-visit policy leaves steps uncaptured — the
     # point here is that flipping capture on cannot change training at
-    # all.  Replay engagement is asserted separately on the re-seeded
+    # all.  Replay engagement is asserted separately on the fixed-order
     # epoch loop below.
     ref, ref_params, _ = _graph_run(name, graph_dataset, capture=False)
     got, got_params, trainer = _graph_run(name, graph_dataset, capture=True)
@@ -79,19 +81,32 @@ def test_graph_training_parity_bitwise(name, graph_dataset):
 
 @pytest.mark.parametrize("name", ["adamgnn", "topkpool", "sagpool"])
 def test_graph_replayed_epochs_match_bitwise(name, graph_dataset):
-    # profile_one_epoch re-seeds its permutation, so the same batch keys
-    # recur every call: mark (1st), capture (2nd), replay (3rd on).
-    # Three replayed epochs must leave parameters bitwise equal to the
-    # uncaptured arm's.
+    # Batches drawn without an RNG come in index order, so the same
+    # batch keys recur every epoch: mark (1st), capture (2nd), replay
+    # (3rd on).  Three replayed epochs of the trainer's own step must
+    # leave parameters bitwise equal to the uncaptured arm's.
     def run(capture, epochs=5):
         clear_plan_cache()
         model = make_graph_classifier(name, graph_dataset.num_features, 2,
                                       seed=0, hidden=16, num_levels=2)
-        trainer = GraphClassificationTrainer(
-            TrainConfig(epochs=1, patience=3, batch_size=16, seed=0,
-                        capture=capture))
-        for _ in range(epochs):
-            trainer.profile_one_epoch(model, graph_dataset)
+        cfg = TrainConfig(batch_size=16, seed=0, capture=capture)
+        trainer = GraphClassificationTrainer(cfg)
+        model.astype(cfg.dtype)
+        optimizer = Adam(model.parameters(), lr=cfg.lr,
+                         weight_decay=cfg.weight_decay)
+        rng = np.random.default_rng(307)
+        rngs = [rng] + model_rngs(model)
+        structures = trainer._structures_for(model, graph_dataset)
+        with default_dtype(cfg.dtype):
+            for _ in range(epochs):
+                model.train()
+                for batch, structure in trainer._batches(
+                        structures, graph_dataset,
+                        graph_dataset.train_index):
+                    model.zero_grad()
+                    trainer._train_step(model, batch, structure, rng, rngs)
+                    clip_grad_norm(model.parameters(), cfg.grad_clip)
+                    optimizer.step()
         return [p.data.copy() for p in model.parameters()], trainer
 
     ref_params, _ = run(False)

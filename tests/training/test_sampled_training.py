@@ -18,15 +18,20 @@ def cora():
     return load_node_dataset("cora", seed=0)
 
 
-def fit(dataset, epochs=12, **overrides):
+def fit_trainer(dataset, epochs=12, **overrides):
+    """``(trainer, model, result)`` of one sampled GCN fit."""
     defaults = dict(epochs=epochs, patience=epochs, seed=0, sampled=True,
                     node_batch_size=128, fanout=5, num_hops=2)
     defaults.update(overrides)
-    config = TrainConfig(**defaults)
+    trainer = NodeClassificationTrainer(TrainConfig(**defaults))
     features = prepare_node_features(dataset)
     model = make_node_classifier("gcn", features.shape[1],
                                  dataset.num_classes, seed=0)
-    return NodeClassificationTrainer(config).fit(model, dataset)
+    return trainer, model, trainer.fit(model, dataset)
+
+
+def fit(dataset, epochs=12, **overrides):
+    return fit_trainer(dataset, epochs, **overrides)[2]
 
 
 class TestParity:
@@ -74,17 +79,16 @@ class TestDeterminism:
 
 class TestCountersAndResult:
     def test_profile_surfaces_sampler_and_csc_stats(self, cora):
-        result = fit(cora, epochs=3, profile=True)
-        assert result.cache_stats is not None
-        sampler = result.cache_stats["sampler"]
+        trainer, model, result = fit_trainer(cora, epochs=3)
+        stats = trainer.cache_stats(model)
+        sampler = stats["sampler"]
         assert sampler["policy"] == "uniform"
         assert sampler["batches"] > 0
         assert sampler["nodes_sampled"] > 0
         assert sampler["edges_sampled"] > 0
         assert sum(sampler["fanout_hist"]) > 0
-        assert "csc_cache" in result.cache_stats
-        assert result.phase_seconds is not None
-        assert "sample" in result.phase_seconds
+        assert "csc_cache" in stats
+        assert len(result.epoch_seconds) == result.epochs_run
 
     def test_steps_per_epoch_math(self, cora):
         train_nodes = cora.splits.train.shape[0]
@@ -95,8 +99,9 @@ class TestCountersAndResult:
         assert capped.steps_per_epoch == 2
 
     def test_adaptive_sampler_learns(self, cora):
-        result = fit(cora, epochs=5, sampler="adaptive", profile=True)
-        stats = result.cache_stats["sampler"]
+        trainer, model, result = fit_trainer(cora, epochs=5,
+                                             sampler="adaptive")
+        stats = trainer.cache_stats(model)["sampler"]
         assert stats["policy"] == "adaptive"
         assert stats["updates"] > 0
         assert stats["score_max"] > stats["score_mean"] > 0

@@ -58,6 +58,22 @@ class TestNodeTrainer:
                                                     tiny_node_dataset)
         assert result.epochs_run == 3
 
+    def test_epoch_seconds_and_cache_stats(self, tiny_node_dataset):
+        model = AdamGNNNodeClassifier(24, 2, hidden=16, num_levels=2,
+                                      rng=np.random.default_rng(0))
+        trainer = NodeClassificationTrainer(
+            TrainConfig(epochs=4, patience=4, seed=0, capture=True))
+        result = trainer.fit(model, tiny_node_dataset)
+        assert len(result.epoch_seconds) == result.epochs_run == 4
+        assert all(s > 0 for s in result.epoch_seconds)
+        assert sum(result.epoch_seconds) <= result.seconds
+        stats = trainer.cache_stats(model)
+        assert {"segment_plans", "structure_cache",
+                "training_tape"} <= set(stats)
+        # Full-batch: mark, capture, then replay from the third epoch.
+        assert stats["training_tape"]["hits"] >= 2
+        assert "sampler" not in stats      # no sampled fit ran
+
     def test_evaluate_helper(self, tiny_node_dataset):
         model = GNNNodeClassifier("gcn", 24, 2, hidden=16,
                                   rng=np.random.default_rng(0))
@@ -142,38 +158,14 @@ class TestGraphTrainer:
                                                      tiny_graph_dataset)
         assert 0.0 <= result.test_accuracy <= 1.0
 
-    def test_time_one_epoch(self, tiny_graph_dataset):
-        model = make_graph_classifier("gin", tiny_graph_dataset.num_features,
-                                      2, seed=0, hidden=16)
-        trainer = GraphClassificationTrainer(
-            TrainConfig(epochs=1, batch_size=16))
-        seconds = trainer.time_one_epoch(model, tiny_graph_dataset)
-        assert seconds > 0
-
-    def test_profiled_epoch_is_the_fit_step(self, tiny_graph_dataset):
-        """The epoch the benchmark times clips gradients as ``fit`` does:
-        with a clip small enough to engage, one profiled epoch and a
-        one-epoch fit end with the same weight bits.  ``num_procs=1``:
-        the profiled epoch is the serial step, whatever REPRO_DP_PROCS
-        says."""
-        def fresh():
-            model = make_graph_classifier(
-                "adamgnn", tiny_graph_dataset.num_features, 2, seed=0,
-                hidden=16, num_levels=2)
-            trainer = GraphClassificationTrainer(TrainConfig(
-                epochs=1, patience=1, batch_size=16, seed=0,
-                grad_clip=1e-3, num_procs=1))
-            return model, trainer
-
-        profiled, trainer = fresh()
-        trainer.profile_one_epoch(profiled, tiny_graph_dataset)
-        fitted, trainer = fresh()
-        trainer.fit(fitted, tiny_graph_dataset)
-        for a, b in zip(profiled.parameters(), fitted.parameters()):
-            assert np.array_equal(a.data, b.data)
-
 
 class TestTrainConfigValidation:
+    def test_profile_knob_is_gone(self):
+        # Per-layer timing comes from the benchmark suite's tracer; the
+        # config carries no profiling switch.
+        with pytest.raises(TypeError):
+            TrainConfig(profile=True)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
