@@ -51,7 +51,7 @@ import numpy as np
 from ..tensor import TapeInvalid, TrainingTape, Workspace
 from ..tensor.workspace import use_training_workspace
 
-__all__ = ["StepCapture", "CaptureEntry", "model_rngs"]
+__all__ = ["StepCapture", "CaptureEntry", "model_rngs", "run_step"]
 
 
 def model_rngs(model) -> list:
@@ -68,6 +68,17 @@ def model_rngs(model) -> list:
         if isinstance(rng, np.random.Generator):
             rngs.append(rng)
     return rngs
+
+
+def run_step(capture: Optional["StepCapture"], pins: Tuple, dtype, rngs,
+             forward_loss):
+    """Forward + loss + backward for one step: through ``capture`` when a
+    trainer has one, plain otherwise.  Returns the loss tensor."""
+    if capture is None:
+        loss = forward_loss()
+        loss.backward()
+        return loss
+    return capture.run_step(pins, dtype, rngs, forward_loss)
 
 
 class CaptureEntry:

@@ -74,18 +74,17 @@ construction.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
-import time
 import traceback
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..datasets import GraphDataset
-from ..graph import GraphBatch
 from ..nn import Module
-from ..optim import Adam, FlatParams, clip_grad_norm
+from ..optim import FlatParams, clip_grad_norm
 from ..tensor import (ACCUM_DTYPE, default_dtype, fast_kernels_enabled,
                       naive_kernels)
 from ..tensor import _comm
@@ -93,9 +92,9 @@ from ..tensor._comm import (CommUnavailable, LocalFlatComm, SharedFlatComm,
                             probe_shared_memory, publish_params,
                             reduce_lanes, write_lane)
 from .config import TrainConfig
-from .early_stopping import EarlyStopping
 from .graph_trainer import (GraphClassificationTrainer, GraphTrainResult,
                             _merge_stat_sections)
+from .loop import train_epochs
 from .sharding import (ShardAssignment, make_shards, shard_dropout_rngs,
                        shard_sampler, worker_shards)
 
@@ -165,16 +164,6 @@ class _ShardRunner:
             self._chunks[s] = [perm[lo:lo + bs]
                                for lo in range(0, perm.shape[0], bs)]
 
-    def _collate(self, chunk: np.ndarray):
-        """One chunk through the trainer's collation path."""
-        if self.structures is None:
-            y = (self.dataset.labels(chunk)
-                 if self.dataset.label_array is not None else None)
-            return (GraphBatch.from_graphs(self.dataset.subset(chunk),
-                                           y=y)
-                    .astype(self.cfg.dtype), None)
-        return self.structures.batch(chunk)
-
     def run_step(self, t: int, lanes: np.ndarray) -> None:
         """Run step ``t`` of every owned shard and write its lane."""
         self.model.train()
@@ -188,7 +177,9 @@ class _ShardRunner:
                 _comm.clear_lane(lane)
                 continue
             chunk = chunks[t]
-            batch, structure = self._collate(chunk)
+            # The chunk is at most one batch long: one pass yields it.
+            batch, structure = next(self.trainer._batches(
+                self.structures, self.dataset, chunk))
             rng = self.samplers[s]
             dropout = self.dropout[s]
             for module, gen in zip(self._rng_modules, dropout):
@@ -412,6 +403,8 @@ class ShardedTrainer:
         model.astype(cfg.dtype)
         assignment = make_shards(dataset.train_index, cfg.num_shards,
                                  cfg.seed, cfg.batch_size)
+        record = {"requested_procs": cfg.num_procs,
+                  "assignment": assignment.to_dict()}
         if assignment.num_shards == 1:
             # A single shard *is* plain serial training: one chunk per
             # step, unweighted, the plain sampler streams.  Delegate so
@@ -420,13 +413,10 @@ class ShardedTrainer:
             # still carry ``num_procs > 1``, and ``fit`` would dispatch
             # right back here).
             result = self._inner._fit_plain(model, dataset)
-            result.sharding = {
-                "mode": "plain", "num_procs": 1,
-                "requested_procs": cfg.num_procs,
-                "fallback": "single shard: plain fit is the schedule",
-                "start_method": None, "comm_bytes": 0,
-                "assignment": assignment.to_dict(),
-            }
+            result.sharding = dict(
+                record, mode="plain", num_procs=1,
+                fallback="single shard: plain fit is the schedule",
+                start_method=None, comm_bytes=0)
             return result
 
         num_procs = min(cfg.num_procs, assignment.num_shards)
@@ -439,112 +429,61 @@ class ShardedTrainer:
             except CommUnavailable as exc:
                 fallback = str(exc)
                 num_procs = 1
-        return self._fit_sharded(model, dataset, assignment, num_procs,
-                                 start_method, fallback)
 
-    # ------------------------------------------------------------------
-    def _fit_sharded(self, model: Module, dataset: GraphDataset,
-                     assignment: ShardAssignment, num_procs: int,
-                     start_method: Optional[str],
-                     fallback: Optional[str]) -> GraphTrainResult:
-        cfg = self.config
         self._inner._dp_worker_stats = None
         flat = FlatParams(model.parameters())
-        optimizer = Adam(model.parameters(), lr=cfg.lr,
-                         weight_decay=cfg.weight_decay)
-        stopper = EarlyStopping(patience=cfg.patience, mode="max")
         reduced = np.zeros(flat.total_size, dtype=ACCUM_DTYPE)
-        history: List[float] = []
-        epoch_seconds: List[float] = []
-
+        comm = (SharedFlatComm if num_procs > 1 else LocalFlatComm)(
+            flat.total_size, assignment.num_shards, cfg.dtype)
+        # Publish initial weights before forking so replicas and segment
+        # agree from step zero.
+        publish_params(comm.params, flat)
         if num_procs > 1:
             import multiprocessing as mp
-            ctx = mp.get_context(start_method)
-            comm = SharedFlatComm(flat.total_size, assignment.num_shards,
-                                  cfg.dtype)
-            # Publish initial weights before forking so replicas and
-            # segment agree from step zero.
-            publish_params(comm.params, flat)
-            stepper = _WorkerGroup(ctx, cfg, model, dataset, assignment,
-                                   comm, num_procs, start_method)
+            stepper = _WorkerGroup(mp.get_context(start_method), cfg, model,
+                                   dataset, assignment, comm, num_procs,
+                                   start_method)
         else:
-            comm = LocalFlatComm(flat.total_size, assignment.num_shards,
-                                 cfg.dtype)
-            publish_params(comm.params, flat)
             # Share the coordinator's trainer: same process, so train
             # and eval collation flow through one structure pipeline.
-            runner = _ShardRunner(cfg, model, dataset,
-                                  range(assignment.num_shards),
-                                  assignment, trainer=self._inner)
-            stepper = _SerialStepper(runner, comm)
+            stepper = _SerialStepper(_ShardRunner(
+                cfg, model, dataset, range(assignment.num_shards),
+                assignment, trainer=self._inner), comm)
 
-        start = time.perf_counter()
-        epochs_run = 0
-        step = 0
-        lanes = None
-        reports: List[Dict] = []
+        def steps(epoch: int) -> Iterator[None]:
+            """Collect → reduce → (driver clips and steps) → publish."""
+            stepper.start_epoch(epoch)
+            for t in range(assignment.steps_per_epoch):
+                stepper.collect(t)
+                # No name holds the lane view: SharedMemory refuses to
+                # unmap at teardown while exported numpy views are alive.
+                step = epoch * assignment.steps_per_epoch + t
+                if reduce_lanes(comm.lanes(step), reduced) > 0.0:
+                    flat.load_grads(reduced)
+                    yield None
+                publish_params(comm.params, flat)
+                stepper.release(t)
+
         try:
-            with default_dtype(cfg.dtype):
-                for epoch in range(cfg.epochs):
-                    epochs_run = epoch + 1
-                    epoch_start = time.perf_counter()
-                    stepper.start_epoch(epoch)
-                    for t in range(assignment.steps_per_epoch):
-                        stepper.collect(t)
-                        lanes = comm.lanes(step)
-                        weight = reduce_lanes(lanes, reduced)
-                        if weight > 0.0:
-                            flat.load_grads(reduced)
-                            if cfg.grad_clip:
-                                clip_grad_norm(flat.params, cfg.grad_clip)
-                            optimizer.step()
-                        publish_params(comm.params, flat)
-                        stepper.release(t)
-                        step += 1
-
-                    val_acc = self.evaluate(model, dataset, dataset.val_index)
-                    history.append(val_acc)
-                    epoch_seconds.append(time.perf_counter() - epoch_start)
-                    if cfg.verbose:
-                        print(f"epoch {epoch:3d}  val {val_acc:.4f}")
-                    if stopper.step(val_acc, model):
-                        break
+            log = train_epochs(
+                model, cfg, steps,
+                lambda: self.evaluate(model, dataset, dataset.val_index),
+                clip_grad_norm)
         finally:
-            # Drop our lane view before closing: SharedMemory refuses to
-            # unmap while exported numpy views are alive.
-            lanes = None
             reports = stepper.close()
             comm_bytes = comm.nbytes
             comm.close()
             comm.unlink()
 
-        elapsed = time.perf_counter() - start
-        stopper.restore(model)
         # Fold the workers' private cache counters into the trainer's
         # view.  The serial mode has nothing to fold: its runner shared
         # the inner trainer directly.
         worker_stats = [r["cache_stats"] for r in reports
                         if r.get("cache_stats")]
         if worker_stats:
-            merged: Dict[str, dict] = {}
-            for stats in worker_stats:
-                merged = _merge_stat_sections(merged, stats)
-            self._inner._dp_worker_stats = merged
-        return GraphTrainResult(
-            test_accuracy=self.evaluate(model, dataset,
-                                        dataset.test_index),
-            val_accuracy=self.evaluate(model, dataset, dataset.val_index),
-            epochs_run=epochs_run,
-            seconds=elapsed,
-            seconds_per_epoch=elapsed / max(epochs_run, 1),
-            history=history,
-            epoch_seconds=epoch_seconds,
-            sharding={
-                "mode": "procs" if num_procs > 1 else "serial",
-                "num_procs": num_procs,
-                "requested_procs": cfg.num_procs,
-                "fallback": fallback,
-                "start_method": start_method,
-                "comm_bytes": comm_bytes,
-                "assignment": assignment.to_dict(),
-            })
+            self._inner._dp_worker_stats = functools.reduce(
+                _merge_stat_sections, worker_stats, {})
+        return self._inner._result(model, dataset, log, sharding=dict(
+            record, mode="procs" if num_procs > 1 else "serial",
+            num_procs=num_procs, fallback=fallback,
+            start_method=start_method, comm_bytes=comm_bytes))

@@ -18,45 +18,41 @@ batches themselves are cached by index chunk so the fixed val/test chunks
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..tensor.random import make_rng
 
-from ..core import (AdamGNNGraphClassifier, AdamGNNOutput, BatchStructure,
+from ..core import (AdamGNNGraphClassifier, BatchStructure,
                     DatasetStructures, sampled_reconstruction_loss,
                     self_optimisation_loss)
 from ..datasets import GraphDataset
 from ..graph import GraphBatch
 from ..nn import Module, cross_entropy
-from ..optim import Adam, clip_grad_norm
+from ..optim import clip_grad_norm
 from ..tensor import Tensor, default_dtype, no_grad, segment_plan_stats
-from .capture import StepCapture, model_rngs
+from .capture import StepCapture, model_rngs, run_step
 from .config import TrainConfig
-from .early_stopping import EarlyStopping
-from .metrics import accuracy
+from .loop import EpochLog, adamgnn_loss, train_epochs
 
 
 @dataclass
-class GraphTrainResult:
+class GraphTrainResult(EpochLog):
     """Outcome of one graph-classification run."""
 
     test_accuracy: float
     val_accuracy: float
-    epochs_run: int
-    seconds: float
-    seconds_per_epoch: float
-    history: List[float] = field(default_factory=list)
-    #: wall seconds of each epoch (steps + eval), in epoch order
-    epoch_seconds: Optional[List[float]] = None
     #: data-parallel run record: mode, effective process count, fallback
     #: reason, comm segment bytes and the serialized shard assignment
     #: (``None`` for plain non-sharded training).  See
     #: ``training/dataparallel.py``.
     sharding: Optional[Dict] = None
+
+    @property
+    def seconds_per_epoch(self) -> float:
+        return self.seconds / max(self.epochs_run, 1)
 
 
 #: Stat counters that describe a per-process constant rather than an
@@ -88,18 +84,25 @@ def _merge_stat_sections(base: Dict[str, dict],
     return out
 
 
+def _index_chunks(index: np.ndarray, batch_size: int,
+                  rng: Optional[np.random.Generator] = None,
+                  ) -> Iterator[np.ndarray]:
+    """Consecutive ``batch_size`` chunks of ``index`` (shuffled first when
+    ``rng`` is given)."""
+    index = np.asarray(index, dtype=np.int64)
+    order = rng.permutation(index) if rng is not None else index
+    for lo in range(0, order.shape[0], batch_size):
+        yield order[lo:lo + batch_size]
+
+
 def iterate_batches(dataset: GraphDataset, index: np.ndarray,
                     batch_size: int, rng: Optional[np.random.Generator] = None
                     ) -> Iterator[GraphBatch]:
     """Yield shuffled (when ``rng`` given) minibatches as GraphBatch."""
-    index = np.asarray(index, dtype=np.int64)
-    order = rng.permutation(index) if rng is not None else index
-    for lo in range(0, order.shape[0], batch_size):
-        chunk = order[lo:lo + batch_size]
-        if chunk.size:
-            y = (dataset.labels(chunk)
-                 if dataset.label_array is not None else None)
-            yield GraphBatch.from_graphs(dataset.subset(chunk), y=y)
+    for chunk in _index_chunks(index, batch_size, rng):
+        y = (dataset.labels(chunk)
+             if dataset.label_array is not None else None)
+        yield GraphBatch.from_graphs(dataset.subset(chunk), y=y)
 
 
 def _model_forward(model: Module, batch: GraphBatch,
@@ -159,21 +162,14 @@ class GraphClassificationTrainer:
                  rng: Optional[np.random.Generator] = None,
                  ) -> Iterator[Tuple[GraphBatch, Optional[BatchStructure]]]:
         """Yield ``(batch, structure)`` pairs for one pass over ``index``."""
-        index = np.asarray(index, dtype=np.int64)
-        order = rng.permutation(index) if rng is not None else index
-        for lo in range(0, order.shape[0], self.config.batch_size):
-            chunk = order[lo:lo + self.config.batch_size]
-            if not chunk.size:
-                continue
-            if structures is None:
-                y = (dataset.labels(chunk)
-                     if dataset.label_array is not None else None)
-                # The escape-hatch path also runs at compute precision
-                # (the cached pipeline casts member graphs at init).
-                yield (GraphBatch.from_graphs(dataset.subset(chunk), y=y)
-                       .astype(self.config.dtype), None)
-            else:
-                yield structures.batch(chunk)
+        size = self.config.batch_size
+        if structures is None:
+            # The escape-hatch path also runs at compute precision (the
+            # cached pipeline casts member graphs at init).
+            return ((batch.astype(self.config.dtype), None) for batch
+                    in iterate_batches(dataset, index, size, rng))
+        return (structures.batch(chunk)
+                for chunk in _index_chunks(index, size, rng))
 
     def cache_stats(self, model: Optional[Module] = None,
                     ) -> Dict[str, dict]:
@@ -206,37 +202,21 @@ class GraphClassificationTrainer:
         """
         def forward_loss() -> Tensor:
             logits, extra = _model_forward(model, batch, structure)
-            return self._loss(logits, extra, batch, rng)
+            loss = cross_entropy(logits, batch.y)
+            if isinstance(extra, Tensor):       # DiffPool's aux terms
+                return loss + extra
+            return adamgnn_loss(
+                loss, extra, self.config, self_optimisation_loss,
+                lambda h: sampled_reconstruction_loss(
+                    h, batch.edge_index, batch.num_nodes, rng))
 
-        if self._capture is None:
-            loss = forward_loss()
-            loss.backward()
-            return loss
         pins = (batch,) if structure is None else (batch, structure)
-        return self._capture.run_step(pins, self.config.dtype, rngs,
-                                      forward_loss)
+        return run_step(self._capture, pins, self.config.dtype, rngs,
+                        forward_loss)
 
     # ------------------------------------------------------------------
-    # Loss / evaluation
+    # Evaluation
     # ------------------------------------------------------------------
-    def _loss(self, logits: Tensor, extra, batch: GraphBatch,
-              rng: np.random.Generator) -> Tensor:
-        cfg = self.config
-        loss = cross_entropy(logits, batch.y)
-        if isinstance(extra, AdamGNNOutput):
-            if cfg.use_kl and cfg.gamma:
-                egos = extra.level1_egos()
-                if egos.size:
-                    loss = loss + self_optimisation_loss(
-                        extra.h, egos) * cfg.gamma
-            if cfg.use_recon and cfg.delta:
-                loss = loss + sampled_reconstruction_loss(
-                    extra.h, batch.edge_index, batch.num_nodes,
-                    rng) * cfg.delta
-        elif isinstance(extra, Tensor):
-            loss = loss + extra
-        return loss
-
     def evaluate(self, model: Module, dataset: GraphDataset,
                  index: np.ndarray) -> float:
         """Accuracy over the graphs selected by ``index``.
@@ -280,50 +260,27 @@ class GraphClassificationTrainer:
     def _fit_plain(self, model: Module,
                    dataset: GraphDataset) -> GraphTrainResult:
         """The single-process training loop (no shard scheduling)."""
-        cfg = self.config
         self._dp_worker_stats = None
-        # Cast the model before the optimiser snapshots parameter shapes,
-        # so Adam's moment buffers are born at the compute precision.
-        model.astype(cfg.dtype)
-        rng = make_rng(cfg.seed + 307)
-        optimizer = Adam(model.parameters(), lr=cfg.lr,
-                         weight_decay=cfg.weight_decay)
-        stopper = EarlyStopping(patience=cfg.patience, mode="max")
-        history: List[float] = []
-        epoch_seconds: List[float] = []
-        start = time.perf_counter()
-        epochs_run = 0
+        rng = make_rng(self.config.seed + 307)
         structures = self._structures_for(model, dataset)
         rngs = [rng] + model_rngs(model)
 
-        with default_dtype(cfg.dtype):
-            for epoch in range(cfg.epochs):
-                epochs_run = epoch + 1
-                epoch_start = time.perf_counter()
-                model.train()
-                for batch, structure in self._batches(
-                        structures, dataset, dataset.train_index, rng=rng):
-                    model.zero_grad()
-                    self._train_step(model, batch, structure, rng, rngs)
-                    if cfg.grad_clip:
-                        clip_grad_norm(model.parameters(), cfg.grad_clip)
-                    optimizer.step()
+        def steps(epoch: int) -> Iterator[Tensor]:
+            for batch, structure in self._batches(
+                    structures, dataset, dataset.train_index, rng=rng):
+                model.zero_grad()
+                yield self._train_step(model, batch, structure, rng, rngs)
 
-                val_acc = self.evaluate(model, dataset, dataset.val_index)
-                history.append(val_acc)
-                epoch_seconds.append(time.perf_counter() - epoch_start)
-                if cfg.verbose:
-                    print(f"epoch {epoch:3d}  val {val_acc:.4f}")
-                if stopper.step(val_acc, model):
-                    break
+        log = train_epochs(
+            model, self.config, steps,
+            lambda: self.evaluate(model, dataset, dataset.val_index),
+            clip_grad_norm)
+        return self._result(model, dataset, log)
 
-        elapsed = time.perf_counter() - start
-        stopper.restore(model)
+    def _result(self, model: Module, dataset: GraphDataset, log: EpochLog,
+                sharding: Optional[Dict] = None) -> GraphTrainResult:
+        """Score the restored model on the test and validation splits."""
         return GraphTrainResult(
             test_accuracy=self.evaluate(model, dataset, dataset.test_index),
             val_accuracy=self.evaluate(model, dataset, dataset.val_index),
-            epochs_run=epochs_run,
-            seconds=elapsed,
-            seconds_per_epoch=elapsed / max(epochs_run, 1),
-            history=history,
-            epoch_seconds=epoch_seconds)
+            sharding=sharding, **vars(log))

@@ -7,27 +7,25 @@ losses ``γ·L_KL + δ·L_R`` for the latter (Eq. 7).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from ..tensor.random import make_rng
 
-from ..core import (AdamGNNOutput, sampled_reconstruction_loss,
-                    self_optimisation_loss)
+from ..core import sampled_reconstruction_loss, self_optimisation_loss
 from ..datasets import NodeDataset
 from ..graph import (CSCGraph, SampledSubgraph, csc_cache_stats,
                      degree_features)
 from ..nn import Module, cross_entropy
-from ..optim import Adam, clip_grad_norm
+from ..optim import clip_grad_norm
 from ..tensor import (Tensor, default_dtype, get_default_dtype, no_grad,
                       segment_plan_stats)
 from ..tensor.precision import ACCUM_DTYPE
-from .capture import StepCapture, model_rngs
+from .capture import StepCapture, model_rngs, run_step
 from .config import TrainConfig
-from .early_stopping import EarlyStopping
+from .loop import EpochLog, adamgnn_loss, train_epochs
 from .metrics import accuracy
 from .samplers import NeighborSampler, eval_rng, make_sampler, minibatch_rng
 
@@ -59,16 +57,11 @@ def prepare_node_features(dataset: NodeDataset) -> np.ndarray:
 
 
 @dataclass
-class NodeTrainResult:
+class NodeTrainResult(EpochLog):
     """Outcome of one node-classification run."""
 
     test_accuracy: float
     val_accuracy: float
-    epochs_run: int
-    seconds: float
-    history: List[float] = field(default_factory=list)
-    #: wall seconds of each epoch (steps + eval), in epoch order
-    epoch_seconds: List[float] = field(default_factory=list)
     #: optimizer steps per epoch (1 for full-batch, the minibatch count
     #: for sampled training)
     steps_per_epoch: int = 1
@@ -107,38 +100,6 @@ class NodeClassificationTrainer:
             return out          # (logits, AdamGNNOutput)
         return out, None
 
-    def _train_step(self, model: Module, graph, x: Tensor,
-                    labels: np.ndarray, train_mask: np.ndarray,
-                    rng: np.random.Generator, rngs: List) -> Tensor:
-        """One full-batch forward + loss + backward via the capture registry.
-
-        Full-batch training revisits the identical (graph, dtype) key every
-        epoch, so after the mark + capture epochs every remaining epoch
-        replays the tape.
-        """
-        cfg = self.config
-
-        def forward_loss() -> Tensor:
-            logits, extra = self._forward(model, x, graph.edge_index,
-                                          graph.edge_weight)
-            loss = cross_entropy(logits, labels, mask=train_mask)
-            if isinstance(extra, AdamGNNOutput):
-                if cfg.use_kl and cfg.gamma:
-                    loss = loss + self_optimisation_loss(
-                        extra.h, extra.level1_egos()) * cfg.gamma
-                if cfg.use_recon and cfg.delta:
-                    loss = loss + sampled_reconstruction_loss(
-                        extra.h, graph.edge_index, graph.num_nodes,
-                        rng) * cfg.delta
-            return loss
-
-        if self._capture is None:
-            loss = forward_loss()
-            loss.backward()
-            return loss
-        return self._capture.run_step((graph,), cfg.dtype, rngs,
-                                      forward_loss)
-
     def fit(self, model: Module, dataset: NodeDataset) -> NodeTrainResult:
         if self.config.sampled:
             return self._fit_sampled(model, dataset)
@@ -147,63 +108,46 @@ class NodeClassificationTrainer:
     def _fit_full_batch(self, model: Module,
                         dataset: NodeDataset) -> NodeTrainResult:
         cfg = self.config
-        # Inputs and model move to the compute precision once, up front:
-        # the graph cast covers edge weights, the Tensor dtype covers the
-        # (possibly synthesised) feature matrix, and the model cast runs
-        # before Adam snapshots its moment buffers.
+        # Inputs move to the compute precision once, up front: the graph
+        # cast covers edge weights, the Tensor dtype covers the (possibly
+        # synthesised) feature matrix.
         graph = dataset.graph.astype(cfg.dtype)
-        model.astype(cfg.dtype)
         x = Tensor(prepare_node_features(dataset), dtype=cfg.dtype)
         labels = np.asarray(graph.y, dtype=np.int64)
         masks = dataset.splits.masks(graph.num_nodes)
         rng = make_rng(cfg.seed + 101)
-
-        optimizer = Adam(model.parameters(), lr=cfg.lr,
-                         weight_decay=cfg.weight_decay)
-        stopper = EarlyStopping(patience=cfg.patience, mode="max")
-        history: List[float] = []
-        epoch_seconds: List[float] = []
-        start = time.perf_counter()
-        epochs_run = 0
-
         rngs = [rng] + model_rngs(model)
-        with default_dtype(cfg.dtype):
-            for epoch in range(cfg.epochs):
-                epochs_run = epoch + 1
-                epoch_start = time.perf_counter()
-                model.train()
-                model.zero_grad()
-                loss = self._train_step(model, graph, x, labels,
-                                        masks["train"], rng, rngs)
-                if cfg.grad_clip:
-                    clip_grad_norm(model.parameters(), cfg.grad_clip)
-                optimizer.step()
 
-                model.eval()
-                with no_grad():
-                    logits, _ = self._forward(model, x, graph.edge_index,
-                                              graph.edge_weight)
-                    val_acc = accuracy(logits.data, labels, masks["val"])
-                history.append(val_acc)
-                epoch_seconds.append(time.perf_counter() - epoch_start)
-                if cfg.verbose:
-                    print(f"epoch {epoch:3d}  loss {loss.item():.4f}  "
-                          f"val {val_acc:.4f}")
-                if stopper.step(val_acc, model):
-                    break
+        def forward_loss() -> Tensor:
+            logits, extra = self._forward(model, x, graph.edge_index,
+                                          graph.edge_weight)
+            return adamgnn_loss(
+                cross_entropy(logits, labels, mask=masks["train"]), extra,
+                cfg, self_optimisation_loss,
+                lambda h: sampled_reconstruction_loss(
+                    h, graph.edge_index, graph.num_nodes, rng))
 
-        stopper.restore(model)
-        model.eval()
+        def steps(epoch: int) -> Iterator[Tensor]:
+            model.zero_grad()
+            # Every epoch revisits the identical (graph, dtype) capture
+            # key, so after the mark + capture epochs each one replays.
+            yield run_step(self._capture, (graph,), cfg.dtype, rngs,
+                           forward_loss)
+
+        def logits() -> np.ndarray:
+            return self._forward(model, x, graph.edge_index,
+                                 graph.edge_weight)[0].data
+
+        log = train_epochs(
+            model, cfg, steps,
+            lambda: accuracy(logits(), labels, masks["val"]),
+            clip_grad_norm)
         with default_dtype(cfg.dtype), no_grad():
-            logits, _ = self._forward(model, x, graph.edge_index,
-                                      graph.edge_weight)
+            final = logits()
         return NodeTrainResult(
-            test_accuracy=accuracy(logits.data, labels, masks["test"]),
-            val_accuracy=accuracy(logits.data, labels, masks["val"]),
-            epochs_run=epochs_run,
-            seconds=time.perf_counter() - start,
-            history=history,
-            epoch_seconds=epoch_seconds)
+            test_accuracy=accuracy(final, labels, masks["test"]),
+            val_accuracy=accuracy(final, labels, masks["val"]),
+            **vars(log))
 
     # ------------------------------------------------------------------
     # Sampled minibatch path (DESIGN.md "Sampled minibatch training")
@@ -211,8 +155,8 @@ class NodeClassificationTrainer:
     def _sampled_step(self, model: Module, sampler: NeighborSampler,
                       csc: CSCGraph, seeds: np.ndarray,
                       features: np.ndarray, labels: np.ndarray,
-                      edge_weight_dtype, rng_b: np.random.Generator,
-                      optimizer: Adam) -> Tensor:
+                      edge_weight_dtype,
+                      rng_b: np.random.Generator) -> Tensor:
         """One sampled minibatch step: extract, forward, loss, backward.
 
         All randomness — ego-net draws and the reconstruction loss's
@@ -221,32 +165,23 @@ class NodeClassificationTrainer:
         batch index).  No tape capture: every batch is a fresh structure,
         so a capture key would never recur.
         """
-        cfg = self.config
         sub = sampler.sample(csc, seeds, rng_b)
-        x_sub = Tensor(features[sub.nodes], dtype=cfg.dtype,
+        x_sub = Tensor(features[sub.nodes], dtype=self.config.dtype,
                        requires_grad=sampler.needs_input_grad)
         sub_weight = np.ones(sub.num_edges, dtype=edge_weight_dtype)
         model.zero_grad()
         logits, extra = self._forward(model, x_sub, sub.edge_index,
                                       sub_weight)
-        loss = cross_entropy(logits, labels[sub.nodes],
-                             mask=sub.seed_mask())
-        if isinstance(extra, AdamGNNOutput):
-            if cfg.use_kl and cfg.gamma:
-                loss = loss + self_optimisation_loss(
-                    extra.h, extra.level1_egos()) * cfg.gamma
-            if cfg.use_recon and cfg.delta:
-                loss = loss + sampled_reconstruction_loss(
-                    extra.h, sub.edge_index, sub.num_nodes,
-                    rng_b) * cfg.delta
+        loss = adamgnn_loss(
+            cross_entropy(logits, labels[sub.nodes], mask=sub.seed_mask()),
+            extra, self.config, self_optimisation_loss,
+            lambda h: sampled_reconstruction_loss(
+                h, sub.edge_index, sub.num_nodes, rng_b))
         loss.backward()
         if x_sub.grad is not None:
             signal = np.sqrt(
                 (x_sub.grad.astype(ACCUM_DTYPE) ** 2).sum(axis=1))
             sampler.update(sub, signal)
-        if cfg.grad_clip:
-            clip_grad_norm(model.parameters(), cfg.grad_clip)
-        optimizer.step()
         return loss
 
     def _evaluate_sampled(self, model: Module, csc: CSCGraph,
@@ -298,7 +233,6 @@ class NodeClassificationTrainer:
         """Minibatch training over sampled ego-nets (O(batch) per step)."""
         cfg = self.config
         graph = dataset.graph.astype(cfg.dtype)
-        model.astype(cfg.dtype)
         # Rows are gathered from features already in the compute dtype
         # (``astype`` above made that copy of ``x``), not cast per batch.
         features = (graph.x if graph.x is not None else
@@ -313,63 +247,32 @@ class NodeClassificationTrainer:
         test_idx = np.asarray(dataset.splits.test, dtype=np.int64)
         # Validation scores the same subgraphs every epoch: draw them once.
         val_nets: Dict[int, SampledSubgraph] = {}
-
-        optimizer = Adam(model.parameters(), lr=cfg.lr,
-                         weight_decay=cfg.weight_decay)
-        stopper = EarlyStopping(patience=cfg.patience, mode="max")
-        history: List[float] = []
-        epoch_seconds: List[float] = []
-        start = time.perf_counter()
-        epochs_run = 0
-        steps_per_epoch = max(1, -(-train_idx.size // cfg.node_batch_size))
+        size = cfg.node_batch_size
+        steps_per_epoch = max(1, -(-train_idx.size // size))
         if cfg.max_steps_per_epoch is not None:
             steps_per_epoch = min(steps_per_epoch, cfg.max_steps_per_epoch)
 
-        with default_dtype(cfg.dtype):
-            for epoch in range(cfg.epochs):
-                epochs_run = epoch + 1
-                epoch_start = time.perf_counter()
-                model.train()
-                perm = minibatch_rng(cfg.seed, epoch).permutation(train_idx)
-                loss = None
-                for b in range(steps_per_epoch):
-                    seeds = perm[b * cfg.node_batch_size:
-                                 (b + 1) * cfg.node_batch_size]
-                    if seeds.size == 0:
-                        break
-                    loss = self._sampled_step(
-                        model, sampler, csc, seeds, features, labels,
-                        graph.edge_weight.dtype,
-                        minibatch_rng(cfg.seed, epoch, b), optimizer)
+        def steps(epoch: int) -> Iterator[Tensor]:
+            perm = minibatch_rng(cfg.seed, epoch).permutation(train_idx)
+            for b in range(steps_per_epoch):
+                seeds = perm[b * size:(b + 1) * size]
+                if seeds.size == 0:
+                    return
+                yield self._sampled_step(
+                    model, sampler, csc, seeds, features, labels,
+                    graph.edge_weight.dtype, minibatch_rng(cfg.seed, epoch, b))
 
-                model.eval()
-                with no_grad():
-                    val_acc = self._evaluate_sampled(model, csc, features,
-                                                     labels, val_idx,
-                                                     val_nets)
-                history.append(val_acc)
-                epoch_seconds.append(time.perf_counter() - epoch_start)
-                if cfg.verbose:
-                    print(f"epoch {epoch:3d}  loss {loss.item():.4f}  "
-                          f"val {val_acc:.4f}")
-                if stopper.step(val_acc, model):
-                    break
+        def score(idx: np.ndarray, memo=None) -> float:
+            return self._evaluate_sampled(model, csc, features, labels, idx,
+                                          memo)
 
-        stopper.restore(model)
-        model.eval()
+        log = train_epochs(model, cfg, steps, lambda: score(val_idx, val_nets),
+                           clip_grad_norm)
         with default_dtype(cfg.dtype), no_grad():
-            test_acc = self._evaluate_sampled(model, csc, features, labels,
-                                              test_idx)
-            val_acc = self._evaluate_sampled(model, csc, features, labels,
-                                             val_idx, val_nets)
-        return NodeTrainResult(
-            test_accuracy=test_acc,
-            val_accuracy=val_acc,
-            epochs_run=epochs_run,
-            seconds=time.perf_counter() - start,
-            history=history,
-            epoch_seconds=epoch_seconds,
-            steps_per_epoch=steps_per_epoch)
+            test_acc = score(test_idx)
+            val_acc = score(val_idx, val_nets)
+        return NodeTrainResult(test_accuracy=test_acc, val_accuracy=val_acc,
+                               steps_per_epoch=steps_per_epoch, **vars(log))
 
 
 def evaluate_node_model(model: Module, dataset: NodeDataset,

@@ -413,10 +413,8 @@ def test_skip_file_pragmas_are_never_stale(tmp_path):
     assert lint.stale_pragmas(report, default_rules()) == []
 
 
-def test_real_tree_has_no_stale_pragmas():
-    report = lint.lint_paths([REPO_ROOT / "src" / "repro"],
-                             rules=default_rules(), root=REPO_ROOT)
-    stale = lint.stale_pragmas(report, default_rules())
+def test_real_tree_has_no_stale_pragmas(src_tree_lint):
+    stale = lint.stale_pragmas(src_tree_lint.report, default_rules())
     assert stale == [], "\n".join(p.format() for p in stale)
 
 
@@ -485,9 +483,8 @@ def test_baseline_version_mismatch_raises(tmp_path):
 # ---------------------------------------------------------------------------
 # Acceptance gate: the shipped tree is clean against the shipped baseline
 # ---------------------------------------------------------------------------
-def test_src_tree_clean_against_checked_in_baseline():
-    report = lint.lint_paths([REPO_ROOT / "src" / "repro"],
-                             rules=default_rules(), root=REPO_ROOT)
+def test_src_tree_clean_against_checked_in_baseline(src_tree_lint):
+    report = src_tree_lint.report
     assert not report.parse_errors
     baseline = lint.load_baseline(REPO_ROOT / "replint_baseline.json")
     fresh = lint.regressions_against(report, baseline)

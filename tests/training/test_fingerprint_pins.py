@@ -15,6 +15,10 @@ The float64 link-prediction pin is the run ``LinkPredictionTrainer``
 produced before it honoured ``TrainConfig.dtype`` (it trained in float64
 whatever the config said), so asking for float64 changes no bit.
 
+The two graph-classification pins cover minibatched AdamGNN training:
+one plain fit, and one with ``num_shards=2, num_procs=1``, which runs
+the sharded schedule through the in-process coordinator.
+
 Bitwise pins are specific to the NumPy/BLAS build and CPU kernels that
 produced them; after a deliberate numerical change, print fresh ones with
 ``OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python
@@ -37,6 +41,10 @@ SAMPLED_GCN_PIN = \
 LINK_FLOAT64_PIN = \
     "c70984926004e774244d77da2bb962a9dcf945ec777ae6d471a38ad9c2a00ca6"
 LINK_FLOAT64_TEST_AUC = 0.599647266313933
+GRAPH_ADAMGNN_PIN = \
+    "452737c80733afb7ed63be1565b5a15421a6fc050ccfb4468d60d5c0f63853e6"
+GRAPH_SHARDED_PIN = \
+    "ebe7e0a8eb6b7ffe424fb4c77bbc6ce474f9e87e338c159bb49e13054260cb26"
 
 #: BLAS threads the pins were recorded at.
 BLAS_THREADS = "2"
@@ -82,6 +90,25 @@ def _link_fit():
     return model, result
 
 
+def _graph_fit(**config):
+    from repro.core import AdamGNNGraphClassifier
+    from repro.datasets import (GraphDataset, load_graph_dataset,
+                                split_graphs)
+    from repro.training import GraphClassificationTrainer, TrainConfig
+    full = load_graph_dataset("mutag", seed=0)
+    train, val, test = split_graphs(48, np.random.default_rng(0))
+    dataset = GraphDataset("mutag-48", full.graphs[:48], 2,
+                           full.num_features, train_index=train,
+                           val_index=val, test_index=test)
+    model = AdamGNNGraphClassifier(dataset.num_features, 2, hidden=16,
+                                   num_levels=2,
+                                   rng=np.random.default_rng(0))
+    GraphClassificationTrainer(TrainConfig(
+        epochs=2, patience=2, batch_size=16, seed=0, num_procs=1,
+        **config)).fit(model, dataset)
+    return model
+
+
 def _run_fits() -> dict:
     from repro.datasets import NodeDataset, split_nodes
     from repro.datasets.sbm import generate_sbm_graph, scaled_sbm_config
@@ -93,12 +120,16 @@ def _run_fits() -> dict:
     sampled = _node_fit(dataset, "gcn", sampled=True, epochs=1, patience=1,
                         node_batch_size=512, fanout=5, num_hops=2)
     link, link_result = _link_fit()
+    graph = _graph_fit(num_shards=1)
     return {
         "adamgnn": _fingerprint(adamgnn),
         "adamgnn_dtype": str(adamgnn.parameters()[0].data.dtype),
         "sampled_gcn": _fingerprint(sampled),
         "link_float64": _fingerprint(link),
         "link_float64_test_auc": link_result.test_auc,
+        "graph_adamgnn": _fingerprint(graph),
+        "graph_adamgnn_dtype": str(graph.parameters()[0].data.dtype),
+        "graph_sharded": _fingerprint(_graph_fit(num_shards=2)),
     }
 
 
@@ -124,6 +155,15 @@ def test_sampled_gcn_fit_matches_pin(fits):
 def test_float64_link_prediction_matches_pin(fits):
     assert fits["link_float64_test_auc"] == LINK_FLOAT64_TEST_AUC
     assert fits["link_float64"] == LINK_FLOAT64_PIN
+
+
+def test_graph_adamgnn_fit_matches_pin(fits):
+    assert fits["graph_adamgnn_dtype"] == "float32"
+    assert fits["graph_adamgnn"] == GRAPH_ADAMGNN_PIN
+
+
+def test_serial_sharded_graph_fit_matches_pin(fits):
+    assert fits["graph_sharded"] == GRAPH_SHARDED_PIN
 
 
 if __name__ == "__main__":
