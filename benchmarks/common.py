@@ -27,7 +27,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -143,50 +143,11 @@ def current_commit() -> str:
 # ---------------------------------------------------------------------------
 # Per-commit history, one series per (section, config)
 # ---------------------------------------------------------------------------
-#: Config fields of the flat history list that mixed configurations; they
-#: move into the series key when the list is split.
-_LEGACY_CONFIG_FIELDS = ("dtype", "capture", "dp_procs")
-
-
 def history_key(section: str, config: Dict) -> str:
     """Name of one history series, e.g.
-    ``"steady_state[dtype=float32,timed=fit_epoch,workload=proteins]"``."""
+    ``"dp_scaling[dp_procs=4,dtype=float32,timed=fit_epoch,workload=proteins]"``."""
     fields = ",".join(f"{name}={config[name]}" for name in sorted(config))
     return f"{section}[{fields}]"
-
-
-def _legacy_series(entry: dict) -> str:
-    """Series of one entry of the flat list.  Every legacy entry timed the
-    PROTEINS epoch: ``dp_procs`` entries came from the data-parallel
-    sweep (``fit`` epochs), ``capture`` entries from the capture A/B and
-    the rest from the steady-state section (both timed the training
-    steps of a re-seeded epoch without the validation pass)."""
-    config = {"workload": "proteins", "dtype": entry.get("dtype", "float32")}
-    if entry.get("dp_procs"):
-        return history_key("dp_scaling", dict(
-            config, dp_procs=entry["dp_procs"], timed="fit_epoch"))
-    if entry.get("capture"):
-        return history_key("capture_ab", dict(
-            config, capture=True, timed="train_steps"))
-    return history_key("steady_state", dict(config, timed="train_steps"))
-
-
-def keyed_history(history: Union[List[dict], Dict[str, List[dict]]],
-                  ) -> Dict[str, List[dict]]:
-    """``history`` as one series per (section, config).
-
-    A flat list (the old format, which interleaved configurations) is
-    split by each entry's ``dtype``/``capture``/``dp_procs`` fields, in
-    recorded order; a keyed history is returned as is.
-    """
-    if isinstance(history, dict):
-        return history
-    series: Dict[str, List[dict]] = {}
-    for entry in history:
-        series.setdefault(_legacy_series(entry), []).append(
-            {k: v for k, v in entry.items()
-             if k not in _LEGACY_CONFIG_FIELDS})
-    return series
 
 
 def record_history(history: Dict[str, List[dict]], section: str,

@@ -35,7 +35,7 @@ compute are excluded below with their reasons.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from .base import Finding, Rule, SourceFile, is_np_attr
 
@@ -118,9 +118,3 @@ class DtypeLiteralRule(Rule):
                     src, node,
                     f"dtype-less np.{func.attr} defaults to float64 — pass "
                     "an explicit dtype derived from an input or the policy")
-
-
-def casting_positions(src: SourceFile) -> List[ast.Call]:
-    """Expose the call scan for tests (calls the rule would inspect)."""
-    return [node for node in ast.walk(src.tree)
-            if isinstance(node, ast.Call)]

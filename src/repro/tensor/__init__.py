@@ -18,8 +18,7 @@ from .segment import (gather_scale_segment_sum, segment_count, segment_max,
                       segment_sum)
 from ._segment_plans import (SegmentReductionPlan, clear_plan_cache,
                              fast_kernels_enabled, naive_kernels,
-                             plan_cache_stats, plan_for, scatter_add_rows,
-                             segment_plan_stats)
+                             plan_for, scatter_add_rows, segment_plan_stats)
 from .gradcheck import (assert_gradients_close, check_gradients,
                         numeric_gradient, tolerances_for)
 from .random import draw_normal, draw_uniform, make_rng, spawn
@@ -41,7 +40,7 @@ __all__ = [
     "gather_scale_segment_sum", "segment_count", "segment_max",
     "segment_mean", "segment_normalize", "segment_softmax", "segment_sum",
     "SegmentReductionPlan", "clear_plan_cache", "fast_kernels_enabled",
-    "naive_kernels", "plan_cache_stats", "plan_for", "scatter_add_rows",
+    "naive_kernels", "plan_for", "scatter_add_rows",
     "segment_plan_stats",
     "assert_gradients_close", "check_gradients", "numeric_gradient",
     "tolerances_for",

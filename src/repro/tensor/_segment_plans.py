@@ -156,13 +156,6 @@ class SegmentReductionPlan:
             self._scatter[key] = triple
         return triple
 
-    @property
-    def scatter_matrix(self) -> sp.csr_matrix:
-        """Back-compat alias: the float64 selector as a real CSR matrix."""
-        indptr, indices, data = self.scatter_for(np.float64)
-        return sp.csr_matrix((data, indices, indptr),
-                             shape=(self.num_segments, self.ids.shape[0]))
-
     def _csr_sum(self, values: np.ndarray, dtype: np.dtype) -> np.ndarray:
         indptr, indices, data = self.scatter_for(dtype)
         dense = np.ascontiguousarray(values, dtype=dtype)
@@ -302,11 +295,6 @@ def joined_pair_ids(ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
     if len(_PAIR_IDS_CACHE) > _PAIR_IDS_CAPACITY:
         _PAIR_IDS_CACHE.popitem(last=False)
     return joined
-
-
-def plan_cache_stats() -> Tuple[int, int, int]:
-    """``(hits, misses, live_entries)`` — diagnostics for tests/benches."""
-    return _HITS, _MISSES, len(_CACHE)
 
 
 def segment_plan_stats() -> dict:

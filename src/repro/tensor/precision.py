@@ -93,21 +93,3 @@ def default_dtype(dtype: DTypeLike) -> Iterator[np.dtype]:
         yield _state.value
     finally:
         set_default_dtype(previous)
-
-
-def as_compute_array(data, dtype: np.dtype = None) -> np.ndarray:
-    """``np.asarray`` with float coercion to the (given or policy) dtype.
-
-    Float arrays already in a supported dtype are cast only when they
-    differ from the target (so an explicit target of ``None`` plus an
-    already-float64 input under a float64 policy is a no-copy pass).
-    Integer and boolean arrays pass through untouched — they are index /
-    mask data, not compute data.
-    """
-    arr = np.asarray(data)
-    if arr.dtype.kind in "iub":
-        return arr
-    target = _state.value if dtype is None else dtype
-    if arr.dtype != target:
-        arr = arr.astype(target)
-    return arr

@@ -157,11 +157,6 @@ class StepCapture:
         if self._entries.pop(key, None) is not None:
             self.invalidations += 1
 
-    def invalidate_all(self) -> None:
-        self.invalidations += len(self._entries)
-        self._entries.clear()
-        self._seen.clear()
-
     # ------------------------------------------------------------------
     # The step runner
     # ------------------------------------------------------------------

@@ -7,6 +7,26 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+_FLAGS = {"0": False, "false": False, "off": False,
+          "1": True, "true": True, "on": True}
+
+
+def _from_env(name: str, default, parse, expected: str):
+    """``parse`` of env var ``name``, or ``default`` when it is unset; a
+    value ``parse`` maps to ``None`` raises ``ValueError`` naming it."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    value = parse(raw.strip().lower())
+    if value is None:
+        raise ValueError(f"{name} must be {expected}, got {raw!r}")
+    return value
+
+
+def _positive_int(raw: str) -> Optional[int]:
+    return int(raw) if raw.isdecimal() and int(raw) > 0 else None
+
+
 @dataclass
 class TrainConfig:
     """Hyper-parameters of one training run.
@@ -45,15 +65,17 @@ class TrainConfig:
     #: Training-step plan capture: record the autograd tape + buffer arena
     #: once per recurring (batch, structure) pair and replay it (see
     #: DESIGN.md "Training plan capture").  ``None`` resolves from the
-    #: ``REPRO_TRAIN_CAPTURE`` env var (``0``/``false``/``off`` disables)
-    #: and defaults to on — replay is validated per step and falls back to
-    #: the uncaptured path transparently, and it is bitwise-identical to
-    #: capture-off training by construction.
+    #: ``REPRO_TRAIN_CAPTURE`` env var (``0``/``false``/``off`` or
+    #: ``1``/``true``/``on``, else ``ValueError``) and defaults to on —
+    #: replay is validated per step and falls back to the uncaptured path
+    #: transparently, and it is bitwise-identical to capture-off training
+    #: by construction.
     capture: Optional[bool] = None
     #: Data-parallel worker process count for the graph-classification
-    #: trainer.  ``None`` resolves from the ``REPRO_DP_PROCS`` env var
-    #: and defaults to 1 (plain in-process training).  Any value > 1
-    #: routes ``fit`` through :class:`~repro.training.ShardedTrainer`;
+    #: trainer.  ``None`` resolves from the ``REPRO_DP_PROCS`` env var (a
+    #: positive integer, else ``ValueError``) and defaults to 1 (plain
+    #: in-process training).  Any value > 1 routes ``fit`` through
+    #: :class:`~repro.training.ShardedTrainer`;
     #: the worker count is a pure packing decision — results depend only
     #: on ``num_shards`` (see ``training/sharding.py``).
     num_procs: Optional[int] = None
@@ -85,14 +107,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.capture is None:
-            flag = os.environ.get("REPRO_TRAIN_CAPTURE", "1").lower()
-            self.capture = flag not in ("0", "false", "off")
+            self.capture = _from_env("REPRO_TRAIN_CAPTURE", True, _FLAGS.get,
+                                     "0/false/off or 1/true/on")
         if self.num_procs is None:
-            raw = os.environ.get("REPRO_DP_PROCS", "1")
-            try:
-                self.num_procs = max(1, int(raw))
-            except ValueError:
-                self.num_procs = 1
+            self.num_procs = _from_env("REPRO_DP_PROCS", 1, _positive_int,
+                                       "a positive integer")
         if self.num_procs < 1:
             raise ValueError("num_procs must be >= 1")
         if self.num_shards is None:

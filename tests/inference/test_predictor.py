@@ -6,8 +6,9 @@ import pytest
 from repro.core import AdamGNNGraphClassifier, AdamGNNNodeClassifier
 from repro.datasets import GraphDataset, load_graph_dataset, split_graphs
 from repro.inference import Predictor
-from repro.tensor import Tensor, default_dtype
+from repro.tensor import Tensor, default_dtype, naive_kernels
 from repro.training import GraphClassificationTrainer, TrainConfig
+from repro.training.graph_trainer import _model_forward
 
 
 @pytest.fixture(scope="module")
@@ -19,23 +20,26 @@ def dataset():
                         train_index=train, val_index=val, test_index=test)
 
 
-@pytest.fixture(scope="module")
-def served(dataset):
+def _serve(dataset, dtype):
     """A model, its trainer-collated eval pairs, and reference logits."""
     model = AdamGNNGraphClassifier(dataset.num_features, 2, hidden=16,
                                    num_levels=2,
                                    rng=np.random.default_rng(3))
     trainer = GraphClassificationTrainer(
-        TrainConfig(dtype="float32", batch_size=8, seed=0))
-    model.astype("float32").eval()
+        TrainConfig(dtype=dtype, batch_size=8, seed=0))
+    model.astype(dtype).eval()
     structures = trainer._structures_for(model, dataset)
     eval_index = np.concatenate([dataset.val_index, dataset.test_index])
     pairs = list(trainer._batches(structures, dataset, eval_index))
-    from repro.training.graph_trainer import _model_forward
-    with default_dtype("float32"):
+    with default_dtype(dtype):
         reference = [_model_forward(model, b, s)[0].data.copy()
                      for b, s in pairs]
     return model, trainer, dataset, pairs, reference
+
+
+@pytest.fixture(scope="module")
+def served(dataset):
+    return _serve(dataset, "float32")
 
 
 class TestGraphServing:
@@ -45,6 +49,17 @@ class TestGraphServing:
         captured = [predictor.predict_batch(b, s) for b, s in pairs]
         replayed = [predictor.predict_batch(b, s) for b, s in pairs]
         for ref, cap, rep in zip(reference, captured, replayed):
+            assert (cap == ref).all()
+            assert (rep == ref).all()
+
+    def test_bitwise_parity_float64_naive_kernels(self, dataset):
+        with naive_kernels():
+            model, _, _, pairs, reference = _serve(dataset, "float64")
+            predictor = Predictor(model)
+            captured = [predictor.predict_batch(b, s) for b, s in pairs]
+            replayed = [predictor.predict_batch(b, s) for b, s in pairs]
+        for ref, cap, rep in zip(reference, captured, replayed):
+            assert ref.dtype == np.float64
             assert (cap == ref).all()
             assert (rep == ref).all()
 
@@ -93,7 +108,6 @@ class TestGraphServing:
             after = predictor.predict_batch(batch, structure)
             # ... and re-capture serves the new weights' logits.
             model.eval()
-            from repro.training.graph_trainer import _model_forward
             with default_dtype("float32"):
                 fresh = _model_forward(model, batch, structure)[0].data
             assert (after == fresh).all()
@@ -123,7 +137,6 @@ class TestGraphServing:
         # just-inserted one) and never replay another batch's captured
         # plan — logits stay bitwise-equal to the grad-on reference even
         # while the LRU churns.
-        from repro.training.graph_trainer import _model_forward
         model, trainer, dataset, _, _ = served
         eval_index = np.concatenate([dataset.val_index, dataset.test_index])
         structures = trainer._structures_for(model, dataset)

@@ -239,6 +239,11 @@ class TestDrain:
                 t.join()
             stats = server.stats()
         assert outcomes["ok"] == stats["completed"] == 160 - outcomes["shed"]
+        # Exact accounting: every offered request was completed or shed,
+        # and none ran out its deadline.
+        assert stats["completed"] + stats["shed"] == 160
+        assert stats["shed"] == outcomes["shed"]
+        assert stats["timed_out"] == 0
         assert stats["pending"] == 0
 
 

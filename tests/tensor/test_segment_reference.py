@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tensor import (Tensor, clear_plan_cache, fast_kernels_enabled,
-                          naive_kernels, plan_cache_stats, plan_for,
-                          rowwise_dot, scatter_add_rows, segment_max,
-                          segment_mean, segment_softmax, segment_sum)
+                          naive_kernels, plan_for, rowwise_dot,
+                          scatter_add_rows, segment_max, segment_mean,
+                          segment_plan_stats, segment_softmax, segment_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +205,9 @@ class TestPlanCache:
         first = plan_for(ids, 3)
         second = plan_for(ids, 3)
         assert first is second
-        hits, misses, live = plan_cache_stats()
-        assert (hits, misses, live) == (1, 1, 1)
+        stats = segment_plan_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) \
+            == (1, 1, 1)
 
     def test_views_of_same_rows_share_a_plan(self):
         clear_plan_cache()

@@ -69,52 +69,24 @@ class TestOutputPath:
 
 
 class TestHistory:
-    #: The flat list as committed before the history was keyed: plain,
-    #: capture and data-parallel entries interleaved.
-    LEGACY = [
-        {"commit": "base", "median_epoch_ms": 371.5, "dtype": "float64"},
-        {"commit": "c1", "median_epoch_ms": 183.0, "dtype": "float32"},
-        {"commit": "c1", "median_epoch_ms": 220.1, "dtype": "float32",
-         "capture": True},
-        {"commit": "c2", "median_epoch_ms": 380.4, "dtype": "float32",
-         "dp_procs": 4},
-        {"commit": "c3", "median_epoch_ms": 179.3, "dtype": "float32",
-         "capture": True},
-    ]
-
-    def test_legacy_list_splits_by_config(self):
-        history = common.keyed_history(self.LEGACY)
-        plain32 = common.history_key("steady_state", {
-            "workload": "proteins", "dtype": "float32",
-            "timed": "train_steps"})
-        capture = common.history_key("capture_ab", {
-            "workload": "proteins", "dtype": "float32", "capture": True,
-            "timed": "train_steps"})
-        dp4 = common.history_key("dp_scaling", {
-            "workload": "proteins", "dtype": "float32", "dp_procs": 4,
-            "timed": "fit_epoch"})
-        assert len(history) == 4         # float64 baseline has its own
-        assert history[plain32] == [{"commit": "c1",
-                                     "median_epoch_ms": 183.0}]
-        assert [e["commit"] for e in history[capture]] == ["c1", "c3"]
-        assert history[dp4] == [{"commit": "c2", "median_epoch_ms": 380.4}]
-        assert common.keyed_history(history) is history
+    CONFIG = {"workload": "proteins", "dtype": "float32",
+              "timed": "train_steps"}
 
     def test_rerun_replaces_only_its_own_series(self):
-        # The flat list's rule looked only at the last entry, so a
-        # same-commit rerun of one section overwrote another's entry.
-        history = common.keyed_history(self.LEGACY[:3])
-        config = {"workload": "proteins", "dtype": "float32",
-                  "timed": "train_steps"}
-        common.record_history(history, "steady_state", config,
+        # A rule that looked only at the last recorded entry let a
+        # same-commit rerun of one section overwrite another's entry.
+        plain_key = common.history_key("steady_state", self.CONFIG)
+        other = common.history_key("dp_scaling", dict(self.CONFIG,
+                                                      dp_procs=4))
+        history = {plain_key: [{"commit": "c1", "median_epoch_ms": 183.0}],
+                   other: [{"commit": "c1", "median_epoch_ms": 220.1}]}
+        common.record_history(history, "steady_state", self.CONFIG,
                               {"commit": "c1", "median_epoch_ms": 181.0})
-        capture = common.history_key("capture_ab", dict(config,
-                                                        capture=True))
-        assert history[capture] == [{"commit": "c1",
-                                     "median_epoch_ms": 220.1}]
-        plain = history[common.history_key("steady_state", config)]
+        assert history[other] == [{"commit": "c1",
+                                   "median_epoch_ms": 220.1}]
+        plain = history[plain_key]
         assert plain == [{"commit": "c1", "median_epoch_ms": 181.0}]
-        common.record_history(history, "steady_state", config,
+        common.record_history(history, "steady_state", self.CONFIG,
                               {"commit": "c4", "median_epoch_ms": 175.0})
         assert [e["commit"] for e in plain] == ["c1", "c4"]
 

@@ -15,14 +15,15 @@ import pytest
 
 from repro.core import AdamGNNNodeClassifier
 from repro.datasets import GraphDataset, NodeDataset, load_graph_dataset, \
-    split_graphs, split_nodes
+    load_node_dataset, split_graphs, split_nodes
 from repro.optim import Adam, clip_grad_norm
 from repro.tensor import (Tensor, clear_plan_cache, default_dtype,
                           naive_kernels, relu)
 from repro.tensor.tape import TapeInvalid
 from repro.training import (GraphClassificationTrainer,
                             NodeClassificationTrainer, TrainConfig,
-                            make_graph_classifier)
+                            make_graph_classifier, make_node_classifier,
+                            prepare_node_features)
 from repro.training.capture import StepCapture, model_rngs
 
 
@@ -137,6 +138,33 @@ def test_node_training_parity_bitwise(node_dataset):
     # full-batch: mark, capture, then replay from the third epoch on
     assert stats["hits"] >= 2
     assert stats["fallbacks"] == 0
+
+
+def test_full_batch_arena_growth_is_bounded():
+    """After the capture epoch, replay draws its buffers from the
+    training arena: a 6-epoch full-batch AdamGNN Cora fit adds at most 8
+    arena allocations past those of a 2-epoch (mark + capture) probe of
+    the same seed.  Seeded fits are bitwise repeatable, so the probe's
+    count is exactly what the longer fit allocated by its capture epoch.
+    The arena can still grow when the learned selection drifts across a
+    size class (2 buffers by epoch 6, 14 by epoch 12 with seed 0), so
+    the bound holds for fits of at most 11 epochs."""
+    data = load_node_dataset("cora", seed=0)
+    features = prepare_node_features(data)
+
+    def arena(epochs):
+        model = make_node_classifier("adamgnn", features.shape[1],
+                                     data.num_classes, seed=0)
+        trainer = NodeClassificationTrainer(TrainConfig(
+            epochs=epochs, patience=epochs, seed=0, capture=True))
+        trainer.fit(model, data)
+        return trainer.cache_stats()["training_tape"]
+
+    at_capture = arena(2)["arena_allocations"]
+    stats = arena(6)
+    assert stats["hits"] > 0, "replay did not engage"
+    assert stats["fallbacks"] == 0
+    assert stats["arena_allocations"] - at_capture <= 8
 
 
 def test_parity_under_naive_kernels(graph_dataset):
@@ -306,6 +334,16 @@ def test_capture_resolves_from_env(monkeypatch):
     assert TrainConfig().capture is False
     monkeypatch.setenv("REPRO_TRAIN_CAPTURE", "1")
     assert TrainConfig().capture is True
+    for spelling, expected in (("false", False), ("OFF", False),
+                               ("True", True), ("on", True)):
+        monkeypatch.setenv("REPRO_TRAIN_CAPTURE", spelling)
+        assert TrainConfig().capture is expected
+    # A malformed value raises rather than silently picking a side.
+    for malformed in ("no", "2", ""):
+        monkeypatch.setenv("REPRO_TRAIN_CAPTURE", malformed)
+        with pytest.raises(ValueError, match="REPRO_TRAIN_CAPTURE"):
+            TrainConfig()
+    assert TrainConfig(capture=True).capture is True  # explicit wins
     monkeypatch.delenv("REPRO_TRAIN_CAPTURE")
     assert TrainConfig().capture is True      # default on
     assert TrainConfig(capture=False).capture is False

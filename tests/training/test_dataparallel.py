@@ -196,3 +196,20 @@ def test_sharded_trainer_accepts_config_directly(dataset):
     result = ShardedTrainer(config).fit(model, dataset)
     assert result.sharding["mode"] == "serial"
     assert result.sharding["assignment"]["num_shards"] == 2
+
+
+def test_procs_resolve_from_env(monkeypatch):
+    monkeypatch.setenv("REPRO_DP_PROCS", "2")
+    assert TrainConfig().num_procs == 2
+    assert TrainConfig().num_shards == 2
+    assert TrainConfig(num_procs=1).num_procs == 1   # explicit wins
+    # The env var means what the field means: TrainConfig(num_procs=0)
+    # raises, so REPRO_DP_PROCS=0 must not silently become 1.
+    for malformed in ("0", "-3", "two", "1.5", ""):
+        monkeypatch.setenv("REPRO_DP_PROCS", malformed)
+        with pytest.raises(ValueError, match="REPRO_DP_PROCS"):
+            TrainConfig()
+    with pytest.raises(ValueError, match="num_procs"):
+        TrainConfig(num_procs=0)
+    monkeypatch.delenv("REPRO_DP_PROCS")
+    assert TrainConfig().num_procs == 1               # default serial
