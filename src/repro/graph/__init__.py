@@ -7,6 +7,7 @@ from .algorithms import (adjacency_lists, bfs_distances, connected_components,
                          triangle_count)
 from .cache import BatchStructureCache, StructureCache
 from .csc import CSCGraph, SampledSubgraph, csc_cache_stats, sorted_unique
+from .blocks import MessageFlowBlock, RowPlan, build_row_plan
 from .normalize import (degree_features, gcn_edge_weight_parts,
                         gcn_normalization, normalize_edges,
                         row_normalize_features)
@@ -14,6 +15,7 @@ from .normalize import (degree_features, gcn_edge_weight_parts,
 __all__ = [
     "Graph", "GraphBatch", "BatchStructureCache", "StructureCache",
     "CSCGraph", "SampledSubgraph", "csc_cache_stats", "sorted_unique",
+    "MessageFlowBlock", "RowPlan", "build_row_plan",
     "adjacency_lists", "bfs_distances", "connected_components",
     "is_connected", "k_hop_reachability", "largest_component",
     "triangle_count",

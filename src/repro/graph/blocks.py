@@ -1,0 +1,165 @@
+"""Per-layer row plans for output-pruned message passing.
+
+A sampled minibatch's loss reads only its seed rows, yet a plain L-layer
+stack computes every layer on every subgraph node.  A :class:`RowPlan`
+walks the layers backwards from the rows the caller reads:
+
+* the last layer's output rows are ``0 .. num_outputs-1`` (the seeds,
+  which :meth:`CSCGraph.ego_net` numbers first);
+* each layer's input rows are its output rows plus their in-neighbours;
+* each layer's :class:`MessageFlowBlock` is the operator restricted to
+  its output rows, with columns renumbered to the input rows.
+
+This is the message-flow-block shape of DGL/GraphStorm's
+``forward(blocks, ...)``.  The operator is built once per subgraph from
+raw arrays in scipy's canonical CSR layout — rows by destination,
+sources ascending within a row, duplicates summed — so every kept row's
+sum runs over the same terms in the same order as the full-row product,
+and each pruned aggregation row is bitwise equal to the full one.  The
+caller supplies the operator's edge weights, so the GCN normalisation is
+computed on the whole subgraph, degrees included, exactly as before.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
+
+from ..tensor._segment_plans import _sptools
+from .csc import _segment_positions, sorted_unique
+
+__all__ = ["MessageFlowBlock", "RowPlan", "build_row_plan", "canonical_csr"]
+
+
+def canonical_csr(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+                  num_out: int, num_in: int,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of ``y[dst] += weight * x[src]``, an
+    ``(num_out, num_in)`` operator.
+
+    Rows are destinations, each row's sources ascending, duplicate
+    ``(dst, src)`` pairs summed: the layout ``scipy.sparse.csr_matrix(
+    (weight, (dst, src)))`` builds.  Two counting sorts (by source, then
+    stably by destination) do it in O(E) with scipy's own kernels, where
+    the scipy object sorts every row.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weight = np.asarray(weight)
+    num_edges = src.shape[0]
+    indptr = np.zeros(num_out + 1, dtype=np.int64)
+    if _sptools is None:  # pragma: no cover - without scipy internals
+        order = np.lexsort((src, dst))
+        indices, data = src[order], weight[order]
+        np.cumsum(np.bincount(dst, minlength=num_out), out=indptr[1:])
+    else:
+        by_src = np.empty(num_in + 1, dtype=np.int64)
+        src_dst = np.empty(num_edges, dtype=np.int64)
+        src_w = np.empty(num_edges, dtype=weight.dtype)
+        _sptools.coo_tocsr(num_in, num_out, num_edges, src, dst, weight,
+                           by_src, src_dst, src_w)
+        indices = np.empty(num_edges, dtype=np.int64)
+        data = np.empty(num_edges, dtype=weight.dtype)
+        _sptools.csr_tocsc(num_in, num_out, by_src, src_dst, src_w,
+                           indptr, indices, data)
+    row = np.repeat(np.arange(num_out), np.diff(indptr))
+    key = row * num_in + indices
+    if num_edges > 1 and (key[1:] == key[:-1]).any():
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        data = np.add.reduceat(data, first)
+        indices = indices[first]
+        indptr = np.zeros(num_out + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[first], minlength=num_out),
+                  out=indptr[1:])
+    return indptr, indices, data
+
+
+@dataclass(frozen=True)
+class MessageFlowBlock:
+    """One layer's operator restricted to the rows a later layer reads.
+
+    Output row ``i`` is subgraph node ``rows[i]``; input row ``j`` is row
+    ``j`` of the previous layer's output (or of the plan's input).  The
+    CSR ``(indptr, indices, data)`` maps input rows to output rows, and
+    ``self_index[i]`` is output row ``i``'s own input row.
+    """
+
+    rows: np.ndarray
+    self_index: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    num_in: int
+
+    @property
+    def num_out(self) -> int:
+        return int(self.rows.shape[0])
+
+    @property
+    def edge_index(self) -> np.ndarray:
+        """``(2, E)`` block-local edges: input row → output row."""
+        dst = np.repeat(np.arange(self.num_out), np.diff(self.indptr))
+        return np.stack([self.indices, dst])
+
+    @property
+    def nbytes(self) -> int:
+        return int(sum(a.nbytes for a in (self.rows, self.self_index,
+                                          self.indptr, self.indices,
+                                          self.data)))
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """Per-layer blocks of an L-layer stack, first layer first.
+
+    ``input_rows`` are the subgraph nodes the first layer reads; the last
+    block's output rows are the rows the caller asked for.
+    """
+
+    input_rows: np.ndarray
+    blocks: Tuple[MessageFlowBlock, ...]
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.input_rows.nbytes
+                   + sum(block.nbytes for block in self.blocks))
+
+
+def build_row_plan(edge_index: np.ndarray, edge_weight: np.ndarray,
+                   num_nodes: int, num_outputs: int,
+                   num_layers: int) -> RowPlan:
+    """Plan ``num_layers`` aggregations over ``edge_index`` whose last
+    output is rows ``0 .. num_outputs-1``.
+
+    ``edge_weight`` is the operator as the layers consume it (GCN-
+    normalised with self-loops for GCN, raw for mean or attention
+    aggregation); rows are kept in ascending subgraph order.
+    """
+    if num_layers < 1:
+        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    if not 0 <= num_outputs <= num_nodes:
+        raise ValueError(f"num_outputs must be in [0, {num_nodes}], "
+                         f"got {num_outputs}")
+    edge_index = np.asarray(edge_index, dtype=np.int64)
+    indptr, indices, data = canonical_csr(edge_index[0], edge_index[1],
+                                          edge_weight, num_nodes, num_nodes)
+    lookup = np.empty(num_nodes, dtype=np.int64)
+    rows = np.arange(num_outputs, dtype=np.int64)
+    blocks = []
+    for _ in range(num_layers):
+        starts = indptr[rows]
+        counts = indptr[rows + 1] - starts
+        positions = _segment_positions(starts, counts)
+        sources = indices[positions]
+        in_rows = sorted_unique(np.concatenate([rows, sources]))
+        lookup[in_rows] = np.arange(in_rows.shape[0])
+        block_indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=block_indptr[1:])
+        blocks.append(MessageFlowBlock(
+            rows=rows, self_index=lookup[rows], indptr=block_indptr,
+            indices=lookup[sources], data=data[positions],
+            num_in=int(in_rows.shape[0])))
+        rows = in_rows
+    return RowPlan(input_rows=rows, blocks=tuple(reversed(blocks)))

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..tensor.random import make_rng
 
+from ..graph import MessageFlowBlock
 from ..nn import Linear, Module, Parameter, init
 from ..tensor import (Tensor, gather_rows, leaky_relu, segment_softmax,
                       segment_sum)
@@ -41,19 +42,31 @@ class GATConv(Module):
         self.negative_slope = negative_slope
         self.add_self_loops = add_self_loops
 
-    def forward(self, x: Tensor, edge_index: np.ndarray,
+    def forward(self, x: Tensor, edge_index: Optional[np.ndarray] = None,
                 edge_weight: Optional[np.ndarray] = None,
-                num_nodes: Optional[int] = None) -> Tensor:
-        n = num_nodes if num_nodes is not None else x.shape[0]
+                num_nodes: Optional[int] = None,
+                block: Optional[MessageFlowBlock] = None) -> Tensor:
+        """A ``block`` replaces the three graph arguments: ``x`` holds its
+        input rows and only its output rows are computed."""
+        if block is None:
+            n = num_nodes if num_nodes is not None else x.shape[0]
+            self_index = np.arange(n, dtype=np.int64)
+        else:
+            n = block.num_out
+            edge_index = block.edge_index
+            self_index = block.self_index
         if self.add_self_loops:
-            loops = np.arange(n, dtype=np.int64)
             edge_index = np.concatenate(
-                [edge_index, np.stack([loops, loops])], axis=1)
+                [edge_index,
+                 np.stack([self_index, np.arange(n, dtype=np.int64)])],
+                axis=1)
         src, dst = edge_index
 
         h = self.linear(x)
         logit_src = h @ self.att_src
         logit_dst = h @ self.att_dst
+        if block is not None:
+            logit_dst = gather_rows(logit_dst, self_index)
         logits = leaky_relu(gather_rows(logit_src, src)
                             + gather_rows(logit_dst, dst),
                             self.negative_slope)

@@ -12,10 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph import Graph, gcn_normalization
+from ..graph import Graph, MessageFlowBlock, gcn_normalization
 from ..nn import Linear, Module
 from ..tensor import Tensor
-from .message_passing import propagate
+from .message_passing import propagate, propagate_block
 
 
 class GCNConv(Module):
@@ -36,17 +36,23 @@ class GCNConv(Module):
         super().__init__()
         self.linear = Linear(in_features, out_features, bias=bias, rng=rng)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray,
+    def forward(self, x: Tensor, edge_index: Optional[np.ndarray] = None,
                 edge_weight: Optional[np.ndarray] = None,
-                num_nodes: Optional[int] = None) -> Tensor:
+                num_nodes: Optional[int] = None,
+                block: Optional[MessageFlowBlock] = None) -> Tensor:
         """Apply the convolution.
 
         ``edge_index``/``edge_weight`` must already be GCN-normalised (use
         :meth:`from_graph` or :func:`repro.graph.gcn_normalization`); this
-        keeps the expensive normalisation out of the training loop.
+        keeps the expensive normalisation out of the training loop.  A
+        ``block`` (whose weights are the normalised ones) replaces the
+        three graph arguments: ``x`` holds its input rows and only its
+        output rows are computed.
         """
-        n = num_nodes if num_nodes is not None else x.shape[0]
         transformed = self.linear(x)
+        if block is not None:
+            return propagate_block(transformed, block)
+        n = num_nodes if num_nodes is not None else x.shape[0]
         return propagate(transformed, edge_index, n, edge_weight=edge_weight)
 
     @staticmethod

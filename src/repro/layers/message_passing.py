@@ -14,6 +14,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from ..graph.blocks import MessageFlowBlock, canonical_csr
 from ..tensor import (Tensor, fast_kernels_enabled, gather_rows, segment_max,
                       segment_mean, segment_sum)
 from ..tensor import workspace as _ws
@@ -26,10 +27,10 @@ _REDUCERS = {
     "max": segment_max,
 }
 
-#: Cached ``(Â, Âᵀ)`` CSR operators keyed by the memory identity of the
-#: (src, dst, weight) arrays, so the sum-reduce fast path below pays the
-#: sparse build once per static graph instead of once per call.  Entries pin
-#: their source arrays (same contract as the segment-plan cache).
+#: Cached CSR operators keyed by the memory identity of the (src, dst,
+#: weight) arrays, so the sum-reduce fast path below pays the build once
+#: per static graph instead of once per call.  Entries pin their source
+#: arrays (same contract as the segment-plan cache).
 _ADJ_CACHE: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 _ADJ_CAPACITY = 64
 
@@ -50,40 +51,45 @@ def _adjacency_for(src: np.ndarray, dst: np.ndarray,
     data = (np.ones(src.shape[0], dtype=dtype)
             if edge_weight is None
             else np.asarray(edge_weight).astype(dtype, copy=False))
-    forward_op = sp.csr_matrix((data, (dst, src)), shape=(num_out, num_in))
-    backward_op = sp.csr_matrix((data, (src, dst)), shape=(num_in, num_out))
-    pair = (forward_op, backward_op)
-    _ADJ_CACHE[key] = ((src, dst, edge_weight), pair)
+    csr = canonical_csr(src, dst, data, num_out, num_in)
+    _ADJ_CACHE[key] = ((src, dst, edge_weight), csr)
     if len(_ADJ_CACHE) > _ADJ_CAPACITY:
         _ADJ_CACHE.popitem(last=False)
-    return pair
+    return csr
 
 
-def _spmm(x: Tensor, forward_op, backward_op) -> Tensor:
-    """``Â @ x`` with a constant sparse operator; backward is ``Âᵀ @ grad``.
+def _spmm(x: Tensor, indptr: np.ndarray, indices: np.ndarray,
+          data: np.ndarray) -> Tensor:
+    """``A @ x`` for a constant CSR operator; backward is ``Aᵀ @ grad``.
 
     One sparse-dense product replaces the gather → weight → segment-sum
-    chain, which materialised three ``(E, d)`` temporaries per call.
+    chain, which materialised three ``(E, d)`` temporaries per call.  The
+    kernels are scipy's own, called on raw arrays into a zeroed (possibly
+    arena) buffer.  Backward reads the same arrays as CSC, which is
+    ``Aᵀ``: every input row sums its terms in ascending output-row order,
+    the order a row-sorted CSR of ``Aᵀ`` uses, so no transpose is built.
     """
+    num_out = indptr.shape[0] - 1
+    num_in, n_vecs = x.data.shape
+    dense = np.ascontiguousarray(x.data)
+    if _sptools is None:  # pragma: no cover - without scipy internals
+        op = sp.csr_matrix((data, indices, indptr), shape=(num_out, num_in))
+        out_data = op @ dense
 
-    ws = _ws.active_workspace()
-    if ws is None or _sptools is None or x.data.ndim != 2:
-        out_data = forward_op @ x.data
-    else:
-        # scipy's ``@`` allocates a fresh output and dispatches to
-        # csr_matvecs; calling the kernel directly on a re-zeroed arena
-        # slot computes the identical sums into a recycled buffer.
-        n_out = forward_op.shape[0]
-        n_in, n_vecs = x.data.shape
-        out_data = ws.take((n_out, n_vecs), x.data.dtype)
-        out_data.fill(0)
-        dense = np.ascontiguousarray(x.data)
-        _sptools.csr_matvecs(n_out, n_in, n_vecs, forward_op.indptr,
-                             forward_op.indices, forward_op.data,
-                             dense.ravel(), out_data.ravel())
+        def backward(grad: np.ndarray) -> None:
+            x._accumulate(op.T @ np.ascontiguousarray(grad))
+
+        return x._make_child(out_data, (x,), backward)
+    out_data = _ws.ws_zeros((num_out, n_vecs), dense.dtype)
+    _sptools.csr_matvecs(num_out, num_in, n_vecs, indptr, indices, data,
+                         dense.ravel(), out_data.ravel())
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(backward_op @ np.ascontiguousarray(grad))
+        grad = np.ascontiguousarray(grad, dtype=data.dtype)
+        gx = np.zeros((num_in, n_vecs), dtype=data.dtype)
+        _sptools.csc_matvecs(num_in, num_out, n_vecs, indptr, indices,
+                             data, grad.ravel(), gx.ravel())
+        x._accumulate(gx)
 
     return x._make_child(out_data, (x,), backward)
 
@@ -120,9 +126,9 @@ def propagate(x: Tensor, edge_index: np.ndarray, num_nodes: int,
         # Weighted-sum aggregation is a sparse matrix product; the edge
         # weights carry no gradient (they are detached normalisations or
         # relation strengths), so the operator is a constant.
-        ops = _adjacency_for(src, dst, edge_weight, num_nodes,
-                             x.data.shape[0], dtype=x.data.dtype)
-        return _spmm(x, *ops)
+        return _spmm(x, *_adjacency_for(src, dst, edge_weight, num_nodes,
+                                        x.data.shape[0],
+                                        dtype=x.data.dtype))
     messages = gather_rows(x, src)
     if message_fn is not None:
         messages = message_fn(messages)
@@ -131,3 +137,17 @@ def propagate(x: Tensor, edge_index: np.ndarray, num_nodes: int,
                          dtype=x.data.dtype)
         messages = messages * weights
     return _REDUCERS[reduce](messages, dst, num_nodes)
+
+
+def propagate_block(x: Tensor, block: MessageFlowBlock,
+                    reduce: str = "sum") -> Tensor:
+    """:func:`propagate` over one :class:`~repro.graph.MessageFlowBlock`.
+
+    ``x`` holds the block's input rows; the result holds its output rows,
+    each aggregated over its in-edges with the block's edge weights.
+    """
+    if reduce == "sum" and x.data.ndim == 2 and fast_kernels_enabled():
+        return _spmm(x, block.indptr, block.indices,
+                     block.data.astype(x.data.dtype, copy=False))
+    return propagate(x, block.edge_index, block.num_out,
+                     edge_weight=block.data, reduce=reduce)

@@ -13,14 +13,19 @@ import numpy as np
 
 from ..tensor.random import make_rng
 
-from ..graph import normalize_edges
+from ..graph import RowPlan, build_row_plan, normalize_edges
 from ..layers import GATConv, GCNConv, GINConv, SAGEConv, gin_mlp
 from ..nn import Dropout, Linear, Module, ModuleList
 from ..pooling import TopKPooling, unpool_topk
-from ..tensor import Tensor, relu
+from ..tensor import Tensor, gather_rows, relu
 
 #: Convolutions that consume the GCN-normalised operator.
 _NEEDS_NORMALIZATION = {"gcn"}
+
+#: Convolutions whose output rows depend only on their in-edges, so a
+#: :class:`~repro.graph.RowPlan` can skip the rows nothing reads.  GIN is
+#: absent: the BatchNorm in its MLP pools statistics over every row.
+_ROW_PRUNABLE = {"gcn", "sage", "gat"}
 
 
 def _make_conv(kind: str, in_features: int, out_features: int,
@@ -67,8 +72,40 @@ class GNNEncoder(Module):
         self.dropout = Dropout(dropout,
                                rng=make_rng(int(seeds[-1])))
 
+    def row_plan(self, edge_index: np.ndarray,
+                 edge_weight: Optional[np.ndarray], num_nodes: int,
+                 num_outputs: int) -> Optional[RowPlan]:
+        """Plan for computing only output rows ``0 .. num_outputs-1``.
+
+        ``None`` when this stack must compute every row (GIN).  The GCN
+        normalisation runs here, on the whole graph, so degrees are the
+        full graph's, exactly as in the unplanned forward.
+        """
+        if self.kind not in _ROW_PRUNABLE:
+            return None
+        if edge_weight is None:
+            edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # replint: allow RL001 -- structural edge weights are float64 by convention
+        if self.kind in _NEEDS_NORMALIZATION:
+            edge_index, edge_weight = normalize_edges(edge_index, edge_weight,
+                                                      num_nodes)
+        return build_row_plan(edge_index, edge_weight, num_nodes,
+                              num_outputs, len(self.convs))
+
     def forward(self, x: Tensor, edge_index: np.ndarray,
-                edge_weight: Optional[np.ndarray] = None) -> Tensor:
+                edge_weight: Optional[np.ndarray] = None,
+                plan: Optional[RowPlan] = None,
+                num_outputs: Optional[int] = None) -> Tensor:
+        """Every row's output, or only rows ``0 .. num_outputs-1``.
+
+        The rows come from a ``plan`` built by :meth:`row_plan` on the
+        same graph, or from ``num_outputs``, for which this call builds
+        that plan itself (GIN then still returns every row).
+        """
+        if plan is None and num_outputs is not None:
+            plan = self.row_plan(edge_index, edge_weight, x.shape[0],
+                                 num_outputs)
+        if plan is not None:
+            return self._forward_planned(x, plan)
         n = x.shape[0]
         if edge_weight is None:
             edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # replint: allow RL001 -- structural edge weights are float64 by convention
@@ -83,6 +120,18 @@ class GNNEncoder(Module):
                 h = self.dropout(relu(h))
         return h
 
+    def _forward_planned(self, x: Tensor, plan: RowPlan) -> Tensor:
+        n = x.shape[0]
+        # Rows are ascending subgraph ids, so n of them are all of x.
+        h = x if plan.input_rows.shape[0] == n else \
+            gather_rows(x, plan.input_rows)
+        last = len(self.convs) - 1
+        for i, (conv, block) in enumerate(zip(self.convs, plan.blocks)):
+            h = conv(h, block=block)
+            if i != last:
+                h = self.dropout(relu(h), rows=block.rows, num_rows=n)
+        return h
+
 
 class GNNNodeClassifier(Module):
     """A flat-GNN node classifier: encoder whose last layer emits logits."""
@@ -95,9 +144,19 @@ class GNNNodeClassifier(Module):
                                   num_layers=num_layers, dropout=dropout,
                                   rng=rng)
 
+    def row_plan(self, edge_index: np.ndarray,
+                 edge_weight: Optional[np.ndarray], num_nodes: int,
+                 num_outputs: int) -> Optional[RowPlan]:
+        """See :meth:`GNNEncoder.row_plan`."""
+        return self.encoder.row_plan(edge_index, edge_weight, num_nodes,
+                                     num_outputs)
+
     def forward(self, x: Tensor, edge_index: np.ndarray,
-                edge_weight: Optional[np.ndarray] = None) -> Tensor:
-        return self.encoder(x, edge_index, edge_weight)
+                edge_weight: Optional[np.ndarray] = None,
+                plan: Optional[RowPlan] = None,
+                num_outputs: Optional[int] = None) -> Tensor:
+        return self.encoder(x, edge_index, edge_weight, plan=plan,
+                            num_outputs=num_outputs)
 
 
 class GNNLinkPredictor(Module):

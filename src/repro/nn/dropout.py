@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..tensor.random import make_rng
@@ -29,8 +31,11 @@ class Dropout(Module):
         self.p = p
         self.rng = rng if rng is not None else make_rng(0)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return dropout(x, self.p, self.rng, training=self.training)
+    def forward(self, x: Tensor, rows: Optional[np.ndarray] = None,
+                num_rows: Optional[int] = None) -> Tensor:
+        """``rows``/``num_rows``: see :func:`repro.tensor.dropout`."""
+        return dropout(x, self.p, self.rng, training=self.training,
+                       rows=rows, num_rows=num_rows)
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

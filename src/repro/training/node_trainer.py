@@ -8,7 +8,7 @@ losses ``γ·L_KL + δ·L_R`` for the latter (Eq. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from ..tensor.random import make_rng
 
 from ..core import sampled_reconstruction_loss, self_optimisation_loss
 from ..datasets import NodeDataset
-from ..graph import (CSCGraph, SampledSubgraph, csc_cache_stats,
+from ..graph import (CSCGraph, RowPlan, SampledSubgraph, csc_cache_stats,
                      degree_features)
 from ..nn import Module, cross_entropy
 from ..optim import clip_grad_norm
@@ -42,6 +42,17 @@ SAMPLED_EVAL_EXACT_NODES = 20_000
 #: 2558 → 3120 MB (+22%) to cut eval time ~10%; this budget keeps 47 at
 #: +11% (2850 MB).  Capped validation splits fit in it whole.
 SAMPLED_EVAL_MEMO_BYTES = 256 << 20
+
+
+#: One memoised evaluation batch: its subgraph and, for a model that
+#: prunes rows, the subgraph's row plan.
+EvalBatch = Tuple[SampledSubgraph, Optional[RowPlan]]
+
+
+def _eval_batch_bytes(entry: EvalBatch) -> int:
+    """Bytes an :data:`EvalBatch` holds, counted against the memo budget."""
+    sub, plan = entry
+    return sub.nbytes + (0 if plan is None else plan.nbytes)
 
 
 def prepare_node_features(dataset: NodeDataset) -> np.ndarray:
@@ -94,8 +105,14 @@ class NodeClassificationTrainer:
         return stats
 
     def _forward(self, model: Module, x: Tensor, edge_index: np.ndarray,
-                 edge_weight: np.ndarray):
-        out = model(x, edge_index, edge_weight)
+                 edge_weight: np.ndarray, **rows):
+        """The model's forward.  ``rows`` (``num_outputs=`` or ``plan=``,
+        see :meth:`GNNEncoder.forward`) reach only models that can prune
+        rows, those with a ``row_plan``; the others compute every row."""
+        if rows and hasattr(model, "row_plan"):
+            out = model(x, edge_index, edge_weight, **rows)
+        else:
+            out = model(x, edge_index, edge_weight)
         if isinstance(out, tuple):
             return out          # (logits, AdamGNNOutput)
         return out, None
@@ -152,10 +169,25 @@ class NodeClassificationTrainer:
     # ------------------------------------------------------------------
     # Sampled minibatch path (DESIGN.md "Sampled minibatch training")
     # ------------------------------------------------------------------
+    @staticmethod
+    def _row_plan(model: Module, sub: SampledSubgraph,
+                  edge_weight: np.ndarray) -> Optional[RowPlan]:
+        """The seed rows' plan when ``model`` can prune rows, else None.
+
+        Flat GCN/SAGE/GAT stacks plan; GIN (BatchNorm over every row) and
+        AdamGNN (Eq. 5-6 terms over every row) return or have no plan.
+        Training steps instead pass ``num_outputs`` and let the model
+        plan inside its forward, so the build is timed with it.
+        """
+        planner = getattr(model, "row_plan", None)
+        if planner is None:
+            return None
+        return planner(sub.edge_index, edge_weight, sub.num_nodes,
+                       sub.num_seeds)
+
     def _sampled_step(self, model: Module, sampler: NeighborSampler,
                       csc: CSCGraph, seeds: np.ndarray,
                       features: np.ndarray, labels: np.ndarray,
-                      edge_weight_dtype,
                       rng_b: np.random.Generator) -> Tensor:
         """One sampled minibatch step: extract, forward, loss, backward.
 
@@ -168,12 +200,15 @@ class NodeClassificationTrainer:
         sub = sampler.sample(csc, seeds, rng_b)
         x_sub = Tensor(features[sub.nodes], dtype=self.config.dtype,
                        requires_grad=sampler.needs_input_grad)
-        sub_weight = np.ones(sub.num_edges, dtype=edge_weight_dtype)
+        sub_weight = np.ones(sub.num_edges, dtype=np.dtype(self.config.dtype))
         model.zero_grad()
         logits, extra = self._forward(model, x_sub, sub.edge_index,
-                                      sub_weight)
+                                      sub_weight, num_outputs=sub.num_seeds)
+        # Every subgraph row, or with a plan the seed rows only.
+        rows = logits.shape[0]
         loss = adamgnn_loss(
-            cross_entropy(logits, labels[sub.nodes], mask=sub.seed_mask()),
+            cross_entropy(logits, labels[sub.nodes[:rows]],
+                          mask=sub.seed_mask()[:rows]),
             extra, self.config, self_optimisation_loss,
             lambda h: sampled_reconstruction_loss(
                 h, sub.edge_index, sub.num_nodes, rng_b))
@@ -187,7 +222,7 @@ class NodeClassificationTrainer:
     def _evaluate_sampled(self, model: Module, csc: CSCGraph,
                           features: np.ndarray, labels: np.ndarray,
                           idx: np.ndarray,
-                          memo: Optional[Dict[int, SampledSubgraph]] = None,
+                          memo: Optional[Dict[int, EvalBatch]] = None,
                           ) -> float:
         """Deterministic minibatched accuracy over ``idx``.
 
@@ -195,10 +230,11 @@ class NodeClassificationTrainer:
         nodes; above, neighbourhoods are sampled at twice the training
         fanout from fixed eval RNG streams, so every epoch's validation
         scores the same subgraphs and early stopping stays meaningful.
-        Those subgraphs depend only on ``(seed, batch)`` and ``idx``, so a
-        caller scoring the same ``idx`` repeatedly passes ``memo`` (batch
-        index → subgraph) and each one, up to
-        :data:`SAMPLED_EVAL_MEMO_BYTES`, is drawn only once.
+        Those subgraphs, and their row plans, depend only on ``(seed,
+        batch)`` and ``idx``, so a caller scoring the same ``idx``
+        repeatedly passes ``memo`` (batch index → subgraph and plan) and
+        each batch, up to :data:`SAMPLED_EVAL_MEMO_BYTES` of both, is
+        drawn and planned only once.
         """
         cfg = self.config
         if csc.num_nodes <= SAMPLED_EVAL_EXACT_NODES or cfg.fanout is None:
@@ -207,23 +243,27 @@ class NodeClassificationTrainer:
             fanout = 2 * cfg.fanout
         idx = np.asarray(idx, dtype=np.int64)
         memo_bytes = 0 if memo is None else sum(
-            s.nbytes for s in memo.values())
+            _eval_batch_bytes(entry) for entry in memo.values())
+        weight_dtype = np.dtype(cfg.dtype)
         correct = 0
         for b, start in enumerate(range(0, idx.size, cfg.node_batch_size)):
-            sub = None if memo is None else memo.get(b)
-            if sub is None:
+            entry = None if memo is None else memo.get(b)
+            if entry is None:
                 sub = csc.ego_net(idx[start:start + cfg.node_batch_size],
                                   radius=cfg.num_hops, fanout=fanout,
                                   rng=eval_rng(cfg.seed, b))
+                entry = (sub, self._row_plan(
+                    model, sub, np.ones(sub.num_edges, dtype=weight_dtype)))
+                size = _eval_batch_bytes(entry)
                 if (memo is not None and
-                        memo_bytes + sub.nbytes <= SAMPLED_EVAL_MEMO_BYTES):
-                    memo[b] = sub
-                    memo_bytes += sub.nbytes
+                        memo_bytes + size <= SAMPLED_EVAL_MEMO_BYTES):
+                    memo[b] = entry
+                    memo_bytes += size
+            sub, plan = entry
             x_sub = Tensor(features[sub.nodes], dtype=cfg.dtype)
-            sub_weight = np.ones(sub.num_edges,
-                                 dtype=np.dtype(cfg.dtype))
+            sub_weight = np.ones(sub.num_edges, dtype=weight_dtype)
             logits, _ = self._forward(model, x_sub, sub.edge_index,
-                                      sub_weight)
+                                      sub_weight, plan=plan)
             pred = logits.data[:sub.num_seeds].argmax(axis=1)
             correct += int((pred == labels[sub.nodes[:sub.num_seeds]]).sum())
         return correct / max(idx.size, 1)
@@ -232,11 +272,12 @@ class NodeClassificationTrainer:
                      dataset: NodeDataset) -> NodeTrainResult:
         """Minibatch training over sampled ego-nets (O(batch) per step)."""
         cfg = self.config
-        graph = dataset.graph.astype(cfg.dtype)
-        # Rows are gathered from features already in the compute dtype
-        # (``astype`` above made that copy of ``x``), not cast per batch.
-        features = (graph.x if graph.x is not None else
-                    prepare_node_features(dataset).astype(cfg.dtype))
+        graph = dataset.graph
+        # The fit reads the graph through its CSC structure, its labels and
+        # the feature rows each batch gathers; only the features are cast
+        # to the compute dtype, once, so rows are not cast per batch.
+        features = prepare_node_features(dataset).astype(cfg.dtype,
+                                                         copy=False)
         labels = np.asarray(graph.y, dtype=np.int64)
         csc = CSCGraph.from_graph(graph)
         sampler = make_sampler(cfg.sampler, cfg.fanout, cfg.num_hops,
@@ -246,7 +287,7 @@ class NodeClassificationTrainer:
         val_idx = np.asarray(dataset.splits.val, dtype=np.int64)
         test_idx = np.asarray(dataset.splits.test, dtype=np.int64)
         # Validation scores the same subgraphs every epoch: draw them once.
-        val_nets: Dict[int, SampledSubgraph] = {}
+        val_nets: Dict[int, EvalBatch] = {}
         size = cfg.node_batch_size
         steps_per_epoch = max(1, -(-train_idx.size // size))
         if cfg.max_steps_per_epoch is not None:
@@ -260,7 +301,7 @@ class NodeClassificationTrainer:
                     return
                 yield self._sampled_step(
                     model, sampler, csc, seeds, features, labels,
-                    graph.edge_weight.dtype, minibatch_rng(cfg.seed, epoch, b))
+                    minibatch_rng(cfg.seed, epoch, b))
 
         def score(idx: np.ndarray, memo=None) -> float:
             return self._evaluate_sampled(model, csc, features, labels, idx,

@@ -15,6 +15,15 @@ The float64 link-prediction pin is the run ``LinkPredictionTrainer``
 produced before it honoured ``TrainConfig.dtype`` (it trained in float64
 whatever the config said), so asking for float64 changes no bit.
 
+The sampled GCN fit computes each layer only on the rows a later layer
+reads (``repro.graph.RowPlan``).  Its aggregations are bitwise those
+of the full-row forward, but its GEMMs run over fewer rows, which
+OpenBLAS may round differently in float32; so the same fit with
+planning switched off, every layer on every subgraph row, carries its
+own pin (the one the sampled fit had before planning).  Sampled GIN (BatchNorm pools every row) and
+sampled AdamGNN (its Eq. 5-6 terms read every row) never plan; their
+pins are the fits as they were before planning existed.
+
 The two graph-classification pins cover minibatched AdamGNN training:
 one plain fit, and one with ``num_shards=2, num_procs=1``, which runs
 the sharded schedule through the in-process coordinator.
@@ -37,7 +46,13 @@ import pytest
 ADAMGNN_PIN = \
     "985a24e05eca92205834fc07e49736750c87f0f89c45a4f73908448a68ef3409"
 SAMPLED_GCN_PIN = \
+    "2ef1ed14d4cc77a904606f57186e97bd48a4eba4153b79c12184d86b07089cd4"
+SAMPLED_GCN_FULL_ROWS_PIN = \
     "5cc1cf8b34eeba3cfb508a84c841db93366cb3258741fc3d7d565c012e010291"
+SAMPLED_GIN_PIN = \
+    "d3ae729c1fcd0d0567e8102d209e74b023053f7d3ea9c0a8799e1fe30f9042b7"
+SAMPLED_ADAMGNN_PIN = \
+    "e5a7624c55421059880778a1fea25963de7a512899e800b406e9600735720dc6"
 LINK_FLOAT64_PIN = \
     "c70984926004e774244d77da2bb962a9dcf945ec777ae6d471a38ad9c2a00ca6"
 LINK_FLOAT64_TEST_AUC = 0.599647266313933
@@ -57,13 +72,15 @@ def _fingerprint(model) -> str:
     return digest.hexdigest()
 
 
-def _node_fit(dataset, arch: str, **config):
+def _node_fit(dataset, arch: str, full_rows: bool = False, **config):
     from repro.training import (NodeClassificationTrainer, TrainConfig,
                                 prepare_node_features)
     from repro.training.experiment import make_node_classifier
     in_features = prepare_node_features(dataset).shape[1]
     model = make_node_classifier(arch, in_features, dataset.num_classes,
                                  seed=0)
+    if full_rows:
+        model.encoder.row_plan = lambda *args: None
     NodeClassificationTrainer(TrainConfig(seed=0, **config)).fit(
         model, dataset)
     return model
@@ -117,14 +134,21 @@ def _run_fits() -> dict:
     dataset = NodeDataset("sbm-3000", graph, cfg.num_classes, split_nodes(
         graph.num_nodes, np.random.default_rng(0)))
     adamgnn = _node_fit(dataset, "adamgnn", epochs=2, patience=2)
-    sampled = _node_fit(dataset, "gcn", sampled=True, epochs=1, patience=1,
-                        node_batch_size=512, fanout=5, num_hops=2)
+    sampled_config = dict(sampled=True, epochs=1, patience=1,
+                          node_batch_size=512, fanout=5, num_hops=2)
+    sampled = _node_fit(dataset, "gcn", **sampled_config)
+    full_rows = _node_fit(dataset, "gcn", full_rows=True, **sampled_config)
+    sampled_gin = _node_fit(dataset, "gin", **sampled_config)
+    sampled_adamgnn = _node_fit(dataset, "adamgnn", **sampled_config)
     link, link_result = _link_fit()
     graph = _graph_fit(num_shards=1)
     return {
         "adamgnn": _fingerprint(adamgnn),
         "adamgnn_dtype": str(adamgnn.parameters()[0].data.dtype),
         "sampled_gcn": _fingerprint(sampled),
+        "sampled_gcn_full_rows": _fingerprint(full_rows),
+        "sampled_gin": _fingerprint(sampled_gin),
+        "sampled_adamgnn": _fingerprint(sampled_adamgnn),
         "link_float64": _fingerprint(link),
         "link_float64_test_auc": link_result.test_auc,
         "graph_adamgnn": _fingerprint(graph),
@@ -150,6 +174,15 @@ def test_full_batch_adamgnn_fit_matches_pin(fits):
 
 def test_sampled_gcn_fit_matches_pin(fits):
     assert fits["sampled_gcn"] == SAMPLED_GCN_PIN
+
+
+def test_full_row_sampled_gcn_fit_matches_pin(fits):
+    assert fits["sampled_gcn_full_rows"] == SAMPLED_GCN_FULL_ROWS_PIN
+
+
+def test_sampled_gin_and_adamgnn_fits_match_pins(fits):
+    assert fits["sampled_gin"] == SAMPLED_GIN_PIN
+    assert fits["sampled_adamgnn"] == SAMPLED_ADAMGNN_PIN
 
 
 def test_float64_link_prediction_matches_pin(fits):

@@ -34,6 +34,15 @@ def fit(dataset, epochs=12, **overrides):
     return fit_trainer(dataset, epochs, **overrides)[2]
 
 
+def first_plan_bytes(dataset, sub):
+    """Bytes of the row plan a sampled GCN fit memoises with ``sub``."""
+    model = make_node_classifier("gcn", prepare_node_features(dataset)
+                                 .shape[1], dataset.num_classes, seed=0)
+    plan = NodeClassificationTrainer._row_plan(
+        model, sub, np.ones(sub.num_edges, dtype=np.float32))
+    return plan.nbytes
+
+
 class TestParity:
     def test_sampled_matches_full_batch_accuracy(self, cora):
         full = fit(cora, epochs=20, sampled=False)
@@ -134,19 +143,45 @@ class TestCountersAndResult:
         assert redrawn.history == kept.history
         assert redrawn.test_accuracy == kept.test_accuracy
         assert redrawn.val_accuracy == kept.val_accuracy
-        # A budget holding only the first batch keeps that one and
-        # redraws the rest.
+        # A budget holding only the first batch (its subgraph and its row
+        # plan) keeps that one and redraws the rest.
         first = original(CSCGraph.from_graph(cora.graph),
                          np.asarray(cora.splits.val[:128]), radius=2,
                          fanout=None, rng=eval_rng(0, 0))
         calls.clear()
         monkeypatch.setattr(node_trainer, "SAMPLED_EVAL_MEMO_BYTES",
-                            first.nbytes)
+                            first.nbytes + first_plan_bytes(cora, first))
         partial = fit(cora, epochs=epochs, max_steps_per_epoch=steps)
         assert len(calls) == (train_calls + 1
                               + (epochs + 1) * (val_batches - 1)
                               + test_batches)
         assert partial.history == kept.history
+
+    def test_eval_memo_budget_counts_row_plans(self, cora, monkeypatch):
+        import repro.training.node_trainer as node_trainer
+        from repro.graph import CSCGraph
+        original = CSCGraph.ego_net
+        calls = []
+
+        def counted(csc, seeds, *args, **kwargs):
+            calls.append(len(seeds))
+            return original(csc, seeds, *args, **kwargs)
+        first = original(CSCGraph.from_graph(cora.graph),
+                         np.asarray(cora.splits.val[:128]), radius=2,
+                         fanout=None, rng=eval_rng(0, 0))
+        plan_bytes = first_plan_bytes(cora, first)
+        assert plan_bytes > 0
+        # Room for the first subgraph but not for its plan: nothing is
+        # kept, so validation redraws every batch every epoch.
+        monkeypatch.setattr(CSCGraph, "ego_net", counted)
+        monkeypatch.setattr(node_trainer, "SAMPLED_EVAL_MEMO_BYTES",
+                            first.nbytes + plan_bytes - 1)
+        epochs, steps = 3, 1
+        val_batches = -(-cora.splits.val.size // 128)
+        test_batches = -(-cora.splits.test.size // 128)
+        fit(cora, epochs=epochs, max_steps_per_epoch=steps)
+        assert len(calls) == (epochs * steps + (epochs + 1) * val_batches
+                              + test_batches)
 
     def test_fanout_histogram_counts_sampled_indegrees(self, cora):
         from repro.graph import CSCGraph
