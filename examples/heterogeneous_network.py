@@ -33,7 +33,7 @@ class HeteroClassifier(Module):
         self.head = Linear(32, num_classes, rng=rng)
 
     def forward(self, x, edge_index, edge_type):
-        out = self.encoder(x, edge_index, edge_type)
+        out = self.encoder(x, edge_index, edge_type=edge_type)
         return self.head(out.h), out
 
 

@@ -53,24 +53,21 @@ class FitnessScorer(Module):
             init.glorot_uniform(rng, 2 * hidden, 1, shape=(2 * hidden,)))
         self.use_linearity = use_linearity
 
-    def pair_scores(self, h: Tensor, egos: EgoNetworks) -> Tensor:
-        """φ_ij for every (ego i, member j) pair, in pair-list order."""
+    def pair_scores(self, h: Tensor, egos: EgoNetworks,
+                    relations: Optional[np.ndarray] = None) -> Tensor:
+        """φ_ij for every (ego i, member j) pair, in pair-list order.
+
+        ``relations`` is the per-pair relation id a typed scorer selects
+        its attention by (see ``repro.core.hetero``); this scorer has one
+        attention vector and takes none.
+        """
         if egos.num_pairs == 0:
             return Tensor(np.zeros(0, dtype=h.data.dtype),
                           dtype=h.data.dtype)
-        wh = self.transform(h)
-        d = wh.shape[-1]
-        a_left = self.attention[:d]
-        a_right = self.attention[d:]
         # aᵀ σ(W h_j ‖ W h_i) with σ applied before the projection is the
         # published form; split the dot product into member/ego halves.
-        # σ is elementwise, so the per-pair gather commutes with it and
-        # with the projection: compute both halves once per *node*, then
-        # gather per pair — O(N·d + P) instead of O(P·d), bit-identical.
-        act = leaky_relu(wh)
-        left = act @ a_left
-        right = act @ a_right
-        logits = gather_rows(left, egos.member) + gather_rows(right, egos.ego)
+        logits = self.attention_logits(leaky_relu(self.transform(h)), egos,
+                                       relations)
         # Normalise over the member's λ-neighbourhood: all pairs that share
         # the same member node compete (the Σ_{v_r ∈ N_j^λ} denominator).
         f_s = segment_softmax(logits, egos.member, egos.num_nodes)
@@ -82,13 +79,30 @@ class FitnessScorer(Module):
         f_c = sigmoid(dots)
         return f_s * f_c
 
-    def forward(self, h: Tensor, egos: EgoNetworks) -> Tuple[Tensor, Tensor]:
+    def attention_logits(self, act: Tensor, egos: EgoNetworks,
+                         relations: Optional[np.ndarray]) -> Tensor:
+        """Per-pair ``aᵀ σ(W h_j ‖ W h_i)`` from the activated ``σ(W h)``.
+
+        σ is elementwise, so the per-pair gather commutes with it and
+        with the projection: compute both halves once per *node*, then
+        gather per pair — O(N·d + P) instead of O(P·d), bit-identical.
+        """
+        if relations is not None:
+            raise ValueError("this fitness scorer has no relation types")
+        d = act.shape[-1]
+        left = act @ self.attention[:d]
+        right = act @ self.attention[d:]
+        return gather_rows(left, egos.member) + gather_rows(right, egos.ego)
+
+    def forward(self, h: Tensor, egos: EgoNetworks,
+                relations: Optional[np.ndarray] = None
+                ) -> Tuple[Tensor, Tensor]:
         """Return ``(φ_pairs, φ_nodes)``.
 
         ``φ_nodes[i]`` is the ego-network fitness φ_i (zero for isolated
         nodes, which have no members and are never selected).
         """
-        phi_pairs = self.pair_scores(h, egos)
+        phi_pairs = self.pair_scores(h, egos, relations)
         phi_nodes = segment_mean(phi_pairs.reshape(-1, 1), egos.ego,
                                  egos.num_nodes).reshape(-1)
         return phi_pairs, phi_nodes

@@ -9,32 +9,27 @@ as future work; this module provides that extension:
 * :class:`TypedFitnessScorer` — Eq. 2 generalised with a *per-edge-type*
   attention vector, so the relation strength between an ego and a member
   depends on how they are connected;
-* :class:`HeteroAdamGNN` — the AdamGNN pipeline with the typed fitness and
-  an R-GCN primary layer.  Pooled hyper-graphs collapse edge types (a
-  hyper-edge aggregates relations of several types), so levels ≥ 1 reuse
-  the homogeneous machinery unchanged.
+* :class:`HeteroAdamGNN` — :class:`~repro.core.model.AdamGNN` configured
+  with the R-GCN as its input conv and the typed scorer as its level-1
+  fitness.  It runs the one level loop of ``AdamGNN.forward``, called
+  with ``edge_type=``; pooled hyper-graphs collapse edge types (a
+  hyper-edge aggregates relations of several types), so levels ≥ 1 are
+  the homogeneous AGP unchanged.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..tensor.random import make_rng
 
-from ..graph import normalize_edges
 from ..nn import Linear, Module, ModuleList, Parameter, init
-from ..tensor import (Tensor, gather_rows, leaky_relu, relu, segment_mean,
-                      segment_softmax, sigmoid)
-from .egonet import EgoNetworks, build_ego_networks
-from .flyback import FlybackAggregator
-from .model import AdamGNNOutput
-from .pooling import AdaptiveGraphPooling
-from .selection import build_assignment, hyper_graph_connectivity, select_egos
-from .unpooling import unpool
-from ..layers import GCNConv
-from ..tensor import segment_sum
+from ..tensor import Tensor, gather_rows, segment_mean
+from .egonet import EgoNetworks
+from .fitness import FitnessScorer
+from .model import AdamGNN
 
 
 class RelationalGCNConv(Module):
@@ -68,7 +63,10 @@ class RelationalGCNConv(Module):
                 edge_type: np.ndarray,
                 num_nodes: Optional[int] = None) -> Tensor:
         n = num_nodes if num_nodes is not None else x.shape[0]
-        edge_type = np.asarray(edge_type, dtype=np.int64)
+        edge_type = np.asarray(edge_type)
+        if not np.issubdtype(edge_type.dtype, np.integer):
+            raise TypeError(f"edge_type must hold integer relation ids, "
+                            f"got dtype {edge_type.dtype}")
         if edge_type.shape[0] != edge_index.shape[1]:
             raise ValueError("edge_type must have one entry per edge")
         out = self.self_loop(x)
@@ -83,142 +81,90 @@ class RelationalGCNConv(Module):
         return out
 
 
-class TypedFitnessScorer(Module):
+class TypedFitnessScorer(FitnessScorer):
     """Eq. 2 with a per-edge-type attention vector.
 
-    Pairs connected by relation ``r`` are scored with attention vector
-    ``a_r``; pairs reachable only through multi-hop paths (λ > 1) fall back
-    to a shared vector.  The f_φ^c linearity term is type-agnostic, as in
-    the homogeneous model.
+    The pair (ego i, member j) is scored with attention column ``a_r`` of
+    the relation r of edge i→j; pairs with no such edge (reachable only
+    through multi-hop paths at λ > 1, or only by the reverse edge) fall
+    back to a shared column.  Only that lookup differs from
+    :class:`FitnessScorer`: the per-node halves, the member-wise softmax
+    and the type-agnostic f_φ^c term are its code path.
     """
 
     def __init__(self, in_features: int, num_relations: int,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__()
         rng = rng if rng is not None else make_rng(0)
+        super().__init__(in_features, rng=rng)
         self.num_relations = num_relations
-        self.transform = Linear(in_features, in_features, bias=False,
-                                rng=rng)
-        # One attention vector per relation plus the multi-hop fallback.
+        # One attention column per relation plus the multi-hop fallback.
         self.attention = Parameter(init.glorot_uniform(
-            rng, 2 * in_features, num_relations + 1,
-            shape=(num_relations + 1, 2 * in_features)))
+            rng, 2 * in_features, num_relations + 1))
 
     def pair_types(self, egos: EgoNetworks, edge_index: np.ndarray,
                    edge_type: np.ndarray) -> np.ndarray:
-        """Relation of each (ego, member) pair; fallback id for non-edges."""
-        table = {}
-        for (u, v), r in zip(edge_index.T.tolist(),
-                             np.asarray(edge_type).tolist()):
-            table[(u, v)] = int(r)
-        fallback = self.num_relations
-        return np.asarray([table.get((int(i), int(j)), fallback)
-                           for i, j in zip(egos.ego, egos.member)],
-                          dtype=np.int64)
+        """Relation of each (ego, member) pair; fallback id for non-edges.
 
-    def forward(self, h: Tensor, egos: EgoNetworks, edge_index: np.ndarray,
-                edge_type: np.ndarray) -> Tuple[Tensor, Tensor]:
-        if egos.num_pairs == 0:
-            dtype = h.data.dtype
-            return (Tensor(np.zeros(0, dtype=dtype), dtype=dtype),
-                    Tensor(np.zeros(egos.num_nodes, dtype=dtype),
-                           dtype=dtype))
-        wh = self.transform(h)
-        d = wh.shape[-1]
-        types = self.pair_types(egos, edge_index, edge_type)
-        a_left = self.attention[:, :d]     # (R+1, d)
-        a_right = self.attention[:, d:]
-        member_part = leaky_relu(gather_rows(wh, egos.member))
-        ego_part = leaky_relu(gather_rows(wh, egos.ego))
-        left = (member_part * gather_rows(a_left, types)).sum(axis=-1)
-        right = (ego_part * gather_rows(a_right, types)).sum(axis=-1)
-        f_s = segment_softmax(left + right, egos.member, egos.num_nodes)
-        dots = (gather_rows(h, egos.member)
-                * gather_rows(h, egos.ego)).sum(axis=-1)
-        phi_pairs = f_s * sigmoid(dots)
-        phi_nodes = segment_mean(phi_pairs.reshape(-1, 1), egos.ego,
-                                 egos.num_nodes).reshape(-1)
-        return phi_pairs, phi_nodes
+        A pair joined by edges of several relations takes the last one in
+        edge order.  One stable sort of the ``u·n + v`` edge keys puts
+        each key's edges in edge order, so the last of a run is the
+        rightmost ``searchsorted`` hit.
+        """
+        edge_type = np.asarray(edge_type, dtype=np.int64)
+        if edge_type.size and not 0 <= edge_type.min() <= edge_type.max() \
+                < self.num_relations:
+            raise ValueError(f"edge_type ids must lie in "
+                             f"[0, {self.num_relations})")
+        n = egos.num_nodes
+        src, dst = np.asarray(edge_index, dtype=np.int64)
+        keys = src * n + dst
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        query = egos.ego * n + egos.member
+        pos = np.searchsorted(sorted_keys, query, side="right") - 1
+        found = pos >= 0
+        found[found] = sorted_keys[pos[found]] == query[found]
+        types = np.full(egos.num_pairs, self.num_relations, dtype=np.int64)
+        types[found] = edge_type[order[pos[found]]]
+        return types
+
+    def attention_logits(self, act: Tensor, egos: EgoNetworks,
+                         relations: Optional[np.ndarray]) -> Tensor:
+        """Per-pair logits, each from its pair's relation column.
+
+        The member and ego halves are computed per node for every column,
+        ``(n, R+1)`` each, and flattened so one gather per half picks each
+        pair's own relation: O(n·d·(R+1) + P).
+        """
+        if relations is None:
+            raise ValueError("a typed fitness scorer needs the per-pair "
+                             "relation ids (pass edge_type to the model)")
+        d = act.shape[-1]
+        width = self.num_relations + 1
+        left = (act @ self.attention[:d]).reshape(-1)
+        right = (act @ self.attention[d:]).reshape(-1)
+        return (gather_rows(left, egos.member * width + relations)
+                + gather_rows(right, egos.ego * width + relations))
 
 
-class HeteroAdamGNN(Module):
+class HeteroAdamGNN(AdamGNN):
     """AdamGNN for heterogeneous (typed-edge) graphs.
 
-    Level 0 uses an R-GCN primary layer and the typed fitness scorer;
-    pooled levels collapse edge types and reuse the homogeneous AGP.
+    :class:`AdamGNN` with an R-GCN input conv and the typed fitness scorer
+    at level 1; call it as ``model(x, edge_index, edge_type=edge_type)``.
+    Pooled levels collapse edge types and are the homogeneous AGP.
     """
 
     def __init__(self, in_features: int, num_relations: int,
                  hidden: int = 64, num_levels: int = 2,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__()
         rng = rng if rng is not None else make_rng(0)
-        seeds = rng.integers(0, 2 ** 31, size=num_levels + 4)
+        seeds = rng.integers(0, 2 ** 31, size=3)
+        super().__init__(in_features, hidden=hidden, num_levels=num_levels,
+                         rng=make_rng(int(seeds[0])))
         self.num_relations = num_relations
         self.input_conv = RelationalGCNConv(
             in_features, hidden, num_relations,
-            rng=make_rng(int(seeds[0])))
-        self.fitness = TypedFitnessScorer(
-            hidden, num_relations, rng=make_rng(int(seeds[1])))
-        from .pooling import HyperNodeFeatures
-        self.features = HyperNodeFeatures(
-            hidden, rng=make_rng(int(seeds[2])))
-        self.level1_conv = GCNConv(hidden, hidden,
-                                   rng=make_rng(int(seeds[3])))
-        self.upper = ModuleList(
-            AdaptiveGraphPooling(hidden,
-                                 rng=make_rng(int(seeds[4 + k])))
-            for k in range(num_levels - 1))
-        self.upper_convs = ModuleList(
-            GCNConv(hidden, hidden,
-                    rng=make_rng(int(seeds[4 + k]) + 1))
-            for k in range(num_levels - 1))
-        self.flyback = FlybackAggregator(
-            hidden, rng=make_rng(int(seeds[-1])))
-
-    def forward(self, x: Tensor, edge_index: np.ndarray,
-                edge_type: np.ndarray) -> AdamGNNOutput:
-        n = x.shape[0]
-        h0 = relu(self.input_conv(x, edge_index, edge_type, num_nodes=n))
-
-        # Level 1: typed fitness, homogeneous connectivity afterwards.
-        egos = build_ego_networks(edge_index, n, radius=1)
-        phi_pairs, phi_nodes = self.fitness(h0, egos, edge_index, edge_type)
-        selected = select_egos(phi_nodes.data, egos, egos.sizes())
-        assignment = build_assignment(phi_pairs, egos, selected)
-        x1 = self.features(h0, phi_pairs, egos, assignment)
-        edge_weight = np.ones(edge_index.shape[1], dtype=h0.data.dtype)
-        edges1, weight1 = hyper_graph_connectivity(assignment, edge_index,
-                                                   edge_weight)
-        from .pooling import PooledLevel
-        assignments = [assignment]
-        level1 = PooledLevel(x=x1, edge_index=edges1, edge_weight=weight1,
-                             assignment=assignment, batch=None,
-                             phi_nodes=phi_nodes.data.copy())
-        levels: List = [level1]
-        messages: List[Tensor] = []
-        m = assignment.num_hyper
-        norm_e, norm_w = normalize_edges(edges1, weight1, m)
-        h = relu(self.level1_conv(x1, norm_e, norm_w, num_nodes=m))
-        messages.append(unpool(assignments, h))
-
-        edges_k, weight_k = edges1, weight1
-        for pooler, conv in zip(self.upper, self.upper_convs):
-            if h.shape[0] < 2 or edges_k.shape[1] == 0:
-                break
-            level = pooler(h, edges_k, weight_k)
-            if level.num_hyper >= h.shape[0] or level.num_hyper < 1:
-                break
-            norm_e, norm_w = normalize_edges(level.edge_index,
-                                             level.edge_weight,
-                                             level.num_hyper)
-            h = relu(conv(level.x, norm_e, norm_w,
-                          num_nodes=level.num_hyper))
-            assignments.append(level.assignment)
-            levels.append(level)
-            messages.append(unpool(assignments, h))
-            edges_k, weight_k = level.edge_index, level.edge_weight
-
-        combined, beta = self.flyback(h0, messages)
-        return AdamGNNOutput(h=combined, h0=h0, level_messages=messages,
-                             beta=beta, levels=levels)
+            rng=make_rng(int(seeds[1])))
+        self.poolers[0].fitness = TypedFitnessScorer(
+            hidden, num_relations, rng=make_rng(int(seeds[2])))

@@ -77,6 +77,11 @@ class AdamGNN(Module):
         (``H = H_0``; unpooled messages still feed the graph readout).
     use_linearity:
         Forwarded to the fitness scorer (``f_φ^c`` ablation).
+
+    The two level-0 parts are attributes a configuration may replace:
+    ``input_conv`` (given the raw edges and ``edge_type`` on a typed
+    graph) and ``poolers[0].fitness`` (given each pair's relation id);
+    :class:`~repro.core.hetero.HeteroAdamGNN` is that configuration.
     """
 
     def __init__(self, in_features: int, hidden: int = 64,
@@ -122,6 +127,7 @@ class AdamGNN(Module):
                 batch: Optional[np.ndarray] = None,
                 num_graphs: Optional[int] = None,
                 structure: Optional["BatchStructure"] = None,
+                edge_type: Optional[np.ndarray] = None,
                 ) -> AdamGNNOutput:
         """Encode a graph (or a block-diagonal batch of graphs).
 
@@ -131,6 +137,10 @@ class AdamGNN(Module):
         edges + ego-network pair lists composed per batch, see
         ``repro.core.structure``) so the ``normalize`` and ``egonet``
         phases become lookups; it must describe exactly this input.
+        ``edge_type`` (one relation id per edge) is level-0 structure of
+        a typed graph: a relational input conv reads it with the raw
+        edges, and the level-1 fitness scorer per pair
+        (``repro.core.hetero``).  This method is the one level loop.
         """
         n = x.shape[0]
         cache = self.structure_cache
@@ -146,14 +156,17 @@ class AdamGNN(Module):
 
         x = self.dropout(x)
         # Level-0 structure is constant across epochs → precomputed
-        # (minibatch composition) or memoised (full-batch identity).
-        if structure is not None:
-            norm_e, norm_w = (structure.norm_edge_index,
+        # (minibatch composition) or memoised (full-batch identity).  A
+        # relational input conv reads the raw edges and their types.
+        if edge_type is not None:
+            conv_e, conv_w = edge_index, edge_type
+        elif structure is not None:
+            conv_e, conv_w = (structure.norm_edge_index,
                               structure.norm_edge_weight)
         else:
-            norm_e, norm_w = cache.normalized_edges(edge_index,
+            conv_e, conv_w = cache.normalized_edges(edge_index,
                                                     edge_weight, n)
-        h0 = relu(self.input_conv(x, norm_e, norm_w, num_nodes=n))
+        h0 = relu(self.input_conv(x, conv_e, conv_w, num_nodes=n))
 
         levels: List[PooledLevel] = []
         messages: List[Tensor] = []
@@ -173,7 +186,8 @@ class AdamGNN(Module):
                 egos=structure.egos
                 if level0 and structure is not None else None,
                 neighbors=structure.neighbors
-                if level0 and structure is not None else None)
+                if level0 and structure is not None else None,
+                edge_type=edge_type if level0 else None)
             m = level.num_hyper
             if m >= h.shape[0] or m < 1:
                 # No coarsening progress — extra levels would only repeat

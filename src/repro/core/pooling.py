@@ -147,7 +147,8 @@ class AdaptiveGraphPooling(Module):
                 batch: Optional[np.ndarray] = None,
                 cache: Optional[StructureCache] = None,
                 egos: Optional[EgoNetworks] = None,
-                neighbors: Optional[EgoNetworks] = None) -> PooledLevel:
+                neighbors: Optional[EgoNetworks] = None,
+                edge_type: Optional[np.ndarray] = None) -> PooledLevel:
         """Coarsen one level; see the module docstring for the steps.
 
         ``cache`` memoises the (purely structural) ego-network pair lists;
@@ -157,6 +158,8 @@ class AdaptiveGraphPooling(Module):
         (the minibatch composition path, ``repro.core.structure``) and
         must describe the same graph as ``edge_index``.  Pooled-level
         graphs depend on learned fitness and are never passed either.
+        ``edge_type`` (level 0 of a typed graph) gives the typed fitness
+        scorer its per-pair relation ids, memoised like the ego-networks.
         """
         n = h.shape[0]
         if egos is not None:
@@ -187,7 +190,14 @@ class AdaptiveGraphPooling(Module):
                                            radius=self.radius))
             neighbors = (egos if self.radius == 1 else ws_captured(
                 lambda: one_hop_neighbors(edge_index, n)))
-        phi_pairs = self.fitness.pair_scores(h, egos)
+        relations = None
+        if edge_type is not None:
+            def _relations():
+                return self.fitness.pair_types(egos, edge_index, edge_type)
+            relations = (_relations() if cache is None else cache.get(
+                "pair-relations", (edge_index, edge_type),
+                (n, self.radius, self.fitness.num_relations), _relations))
+        phi_pairs = self.fitness.pair_scores(h, egos, relations)
         # The selection outcome is the data-dependent control flow of
         # the forward; a serving arena records it (with the assembled
         # S_k and the per-node fitness diagnostic, neither of which

@@ -50,20 +50,15 @@ def canonical_csr(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
     weight = np.asarray(weight)
     num_edges = src.shape[0]
     indptr = np.zeros(num_out + 1, dtype=np.int64)
-    if _sptools is None:  # pragma: no cover - without scipy internals
-        order = np.lexsort((src, dst))
-        indices, data = src[order], weight[order]
-        np.cumsum(np.bincount(dst, minlength=num_out), out=indptr[1:])
-    else:
-        by_src = np.empty(num_in + 1, dtype=np.int64)
-        src_dst = np.empty(num_edges, dtype=np.int64)
-        src_w = np.empty(num_edges, dtype=weight.dtype)
-        _sptools.coo_tocsr(num_in, num_out, num_edges, src, dst, weight,
-                           by_src, src_dst, src_w)
-        indices = np.empty(num_edges, dtype=np.int64)
-        data = np.empty(num_edges, dtype=weight.dtype)
-        _sptools.csr_tocsc(num_in, num_out, by_src, src_dst, src_w,
-                           indptr, indices, data)
+    by_src = np.empty(num_in + 1, dtype=np.int64)
+    src_dst = np.empty(num_edges, dtype=np.int64)
+    src_w = np.empty(num_edges, dtype=weight.dtype)
+    _sptools.coo_tocsr(num_in, num_out, num_edges, src, dst, weight,
+                       by_src, src_dst, src_w)
+    indices = np.empty(num_edges, dtype=np.int64)
+    data = np.empty(num_edges, dtype=weight.dtype)
+    _sptools.csr_tocsc(num_in, num_out, by_src, src_dst, src_w,
+                       indptr, indices, data)
     row = np.repeat(np.arange(num_out), np.diff(indptr))
     key = row * num_in + indices
     if num_edges > 1 and (key[1:] == key[:-1]).any():

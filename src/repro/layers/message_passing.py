@@ -12,7 +12,6 @@ from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..graph.blocks import MessageFlowBlock, canonical_csr
 from ..tensor import (Tensor, fast_kernels_enabled, gather_rows, segment_max,
@@ -72,14 +71,6 @@ def _spmm(x: Tensor, indptr: np.ndarray, indices: np.ndarray,
     num_out = indptr.shape[0] - 1
     num_in, n_vecs = x.data.shape
     dense = np.ascontiguousarray(x.data)
-    if _sptools is None:  # pragma: no cover - without scipy internals
-        op = sp.csr_matrix((data, indices, indptr), shape=(num_out, num_in))
-        out_data = op @ dense
-
-        def backward(grad: np.ndarray) -> None:
-            x._accumulate(op.T @ np.ascontiguousarray(grad))
-
-        return x._make_child(out_data, (x,), backward)
     out_data = _ws.ws_zeros((num_out, n_vecs), dense.dtype)
     _sptools.csr_matvecs(num_out, num_in, n_vecs, indptr, indices, data,
                          dense.ravel(), out_data.ravel())

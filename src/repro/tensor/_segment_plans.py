@@ -27,14 +27,9 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools as _sptools
 
 from . import workspace as _ws
-
-try:  # pragma: no cover - import guard for scipy internals
-    from scipy.sparse import _sparsetools as _sptools
-except ImportError:  # pragma: no cover
-    _sptools = None
 
 #: Upper bound on cached plans; LRU-evicted beyond this.  Each entry pins
 #: its ids array, so the bound also caps the pinned memory.  Sized above a
@@ -114,7 +109,8 @@ class SegmentReductionPlan:
         self.starts = starts
         self.present = present
         self._counts = None
-        self._scatter: Dict[str, sp.csr_matrix] = {}
+        self._scatter: Dict[str, Tuple[np.ndarray, np.ndarray,
+                                       np.ndarray]] = {}
 
     @property
     def counts(self) -> np.ndarray:
@@ -132,10 +128,11 @@ class SegmentReductionPlan:
         materialised).  Built lazily per dtype — the raw C kernel requires
         the matrix data and the dense operand to agree — with the index
         structure shared between the float32 and float64 variants.  Stored
-        as bare arrays rather than an ``sp.csr_matrix``: the constructor
-        re-derives index dtypes (a content scan) and re-validates the
-        format on every build, which is measurable when fresh ids (one
-        negative-sample scatter per training step) build a plan each step.
+        as bare arrays rather than a ``scipy.sparse.csr_matrix``: the
+        constructor re-derives index dtypes (a content scan) and
+        re-validates the format on every build, which is measurable when
+        fresh ids (one negative-sample scatter per training step) build a
+        plan each step.
         """
         key = np.dtype(dtype).char
         triple = self._scatter.get(key)
@@ -159,11 +156,6 @@ class SegmentReductionPlan:
     def _csr_sum(self, values: np.ndarray, dtype: np.dtype) -> np.ndarray:
         indptr, indices, data = self.scatter_for(dtype)
         dense = np.ascontiguousarray(values, dtype=dtype)
-        if _sptools is None:  # pragma: no cover - without scipy internals
-            matrix = sp.csr_matrix((data, indices, indptr),
-                                   shape=(self.num_segments,
-                                          self.ids.shape[0]))
-            return np.asarray(matrix @ dense, dtype=dtype)
         # Direct kernel call: scipy's ``@`` re-derives index dtypes
         # and re-validates shapes on every product, which is
         # measurable at this call frequency.  The zeroed accumulator can

@@ -60,7 +60,7 @@ class TrainConfig:
     #: structure pipeline (per-graph precompute + block-diagonal
     #: composition + collated-batch cache).  Off = the original
     #: recompute-per-batch path; kept as an escape hatch and as the
-    #: baseline arm of the epoch-time benchmark.
+    #: reference of ``test_batch_cache_equals_plain_collation``.
     batch_cache: bool = True
     #: Training-step plan capture: record the autograd tape + buffer arena
     #: once per recurring (batch, structure) pair and replay it (see
