@@ -9,11 +9,12 @@ trivial (i, i) pair (the ego itself is handled explicitly where needed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+from ..graph.algorithms import reachable_pairs
 
 
 @dataclass
@@ -23,7 +24,8 @@ class EgoNetworks:
     Attributes
     ----------
     ego, member:
-        ``(P,)`` arrays: ``member[p] ∈ N_{ego[p]}^λ`` (ego ≠ member).
+        ``(P,)`` arrays: ``member[p] ∈ N_{ego[p]}^λ`` (ego ≠ member),
+        row-major: ``ego`` is non-decreasing.
     num_nodes:
         Node count of the underlying graph.
     radius:
@@ -34,12 +36,6 @@ class EgoNetworks:
     member: np.ndarray
     num_nodes: int
     radius: int
-    # Lazily-built CSR index over the pair list: ``_csr_order`` sorts pairs
-    # by ego and ``_csr_indptr[i]:_csr_indptr[i+1]`` spans node i's run, so
-    # members_of is O(deg) after a one-off O(P log P) build instead of an
-    # O(P) boolean scan per call.
-    _csr_index: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @property
     def num_pairs(self) -> int:
@@ -51,14 +47,8 @@ class EgoNetworks:
 
     def members_of(self, node: int) -> np.ndarray:
         """Members of ``c_λ(node)`` excluding the ego itself."""
-        if self._csr_index is None:
-            order = np.argsort(self.ego, kind="stable")
-            counts = np.bincount(self.ego, minlength=self.num_nodes)
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._csr_index = (order, indptr)
-        order, indptr = self._csr_index
-        return self.member[order[indptr[node]:indptr[node + 1]]]
+        lo, hi = np.searchsorted(self.ego, [node, node + 1])
+        return self.member[lo:hi]
 
 
 def build_ego_networks(edge_index: np.ndarray, num_nodes: int,
@@ -66,28 +56,11 @@ def build_ego_networks(edge_index: np.ndarray, num_nodes: int,
     """Construct all λ-hop ego-networks from an edge list.
 
     Distances follow the *undirected* graph (the paper's graphs are all
-    undirected).  The computation is |V| boolean sparse-matrix products in
-    the worst case but only ``radius`` of them, so λ=1–2 stays cheap even
-    for batched graphs.
+    undirected); see :func:`~repro.graph.algorithms.reachable_pairs`.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    src, dst = np.asarray(edge_index, dtype=np.int64)
-    ones = np.ones(src.shape[0], dtype=bool)
-    adj = sp.csr_matrix((ones, (src, dst)), shape=(num_nodes, num_nodes))
-    adj = (adj + adj.T).astype(bool).tocsr()
-    adj.setdiag(False)
-    adj.eliminate_zeros()
-    reach = adj.copy()
-    frontier = adj
-    for _ in range(radius - 1):
-        frontier = (frontier @ adj).astype(bool)
-        reach = (reach + frontier).astype(bool)
-    reach = reach.tocoo()
-    keep = reach.row != reach.col
-    return EgoNetworks(ego=reach.row[keep].astype(np.int64),
-                       member=reach.col[keep].astype(np.int64),
-                       num_nodes=num_nodes, radius=radius)
+    ego, member = reachable_pairs(edge_index, num_nodes, radius)
+    return EgoNetworks(ego=ego, member=member, num_nodes=num_nodes,
+                       radius=radius)
 
 
 def one_hop_neighbors(edge_index: np.ndarray, num_nodes: int) -> EgoNetworks:
@@ -104,9 +77,10 @@ def compose_ego_networks(parts: "Sequence[EgoNetworks]",
     list of a batch is exactly the union of the per-graph pair lists with
     node ids shifted by each graph's node offset.  The concatenation order
     (graphs in batch order; within a graph, the part's own order, which
-    :func:`build_ego_networks` emits row-major with sorted members) makes
-    the result identical to running :func:`build_ego_networks` on the
-    collated edge list — the property the composition tests pin down.
+    :func:`build_ego_networks` emits row-major, members sorted at radius 1
+    and in product order beyond) makes the result identical to running
+    :func:`build_ego_networks` on the collated edge list — the property
+    the composition tests pin down.
     """
     if not parts:
         raise ValueError("cannot compose zero ego-network parts")

@@ -14,13 +14,12 @@ paper contrasts with top-k pooling.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from ..graph.blocks import canonical_csr, csr_matmul
 from ..tensor import ACCUM_DTYPE, Tensor, concat
 from .egonet import EgoNetworks
 
@@ -48,10 +47,11 @@ class Assignment:
     #: level k-1 node id that seeds each hyper-node (ego or retained node)
     seed_of_col: np.ndarray
 
-    def matrix(self) -> sp.csr_matrix:
-        """Detached scipy view of S (for connectivity computations)."""
-        return sp.csr_matrix((self.values.data, (self.rows, self.cols)),
-                             shape=(self.num_nodes, self.num_hyper))
+    def dense(self) -> np.ndarray:
+        """Detached dense ``(num_nodes, num_hyper)`` view of S."""
+        out = np.zeros((self.num_nodes, self.num_hyper), self.values.dtype)
+        np.add.at(out, (self.rows, self.cols), self.values.data)
+        return out
 
 
 def select_egos(phi_nodes: np.ndarray, neighbors: EgoNetworks,
@@ -84,87 +84,6 @@ def select_egos(phi_nodes: np.ndarray, neighbors: EgoNetworks,
     return np.flatnonzero(~loses & has_members)
 
 
-@dataclass
-class AssignmentStructure:
-    """Plain-array skeleton of ``S_k`` — a pure function of the selection.
-
-    Everything in here is detached topology: training arenas capture one
-    instance per step plan and replay it (stable array identities keep the
-    identity-keyed segment plans hot), while the gradient-carrying values
-    are re-assembled from the live ``φ`` tensor every step by
-    :func:`assemble_assignment`.
-    """
-
-    pair_idx: np.ndarray    #: indices of the selected ego-network pairs
-    rows: np.ndarray
-    cols: np.ndarray
-    selected: np.ndarray
-    retained: np.ndarray
-    seed_of_col: np.ndarray
-    num_nodes: int
-    num_hyper: int
-
-
-def assignment_structure(egos: EgoNetworks,
-                         selected: np.ndarray) -> AssignmentStructure:
-    """The detached COO skeleton of ``S_k`` for one selection outcome."""
-    n = egos.num_nodes
-    selected = np.asarray(selected, dtype=np.int64)
-    is_selected = np.zeros(n, dtype=bool)
-    is_selected[selected] = True
-    col_of_ego = -np.ones(n, dtype=np.int64)
-    col_of_ego[selected] = np.arange(selected.shape[0])
-
-    pair_mask = is_selected[egos.ego]
-    pair_idx = np.flatnonzero(pair_mask)
-    member_rows = egos.member[pair_idx]
-    member_cols = col_of_ego[egos.ego[pair_idx]]
-
-    # A node is absorbed when it belongs to any selected ego-network —
-    # as a member or as the ego itself.
-    absorbed = np.zeros(n, dtype=bool)
-    absorbed[member_rows] = True
-    absorbed[selected] = True
-    retained = np.flatnonzero(~absorbed)
-
-    num_hyper = selected.shape[0] + retained.shape[0]
-    ego_rows = selected
-    ego_cols = col_of_ego[selected]
-    retained_rows = retained
-    retained_cols = selected.shape[0] + np.arange(retained.shape[0])
-
-    rows = np.concatenate([member_rows, ego_rows, retained_rows])
-    cols = np.concatenate([member_cols, ego_cols, retained_cols])
-    seed_of_col = np.concatenate([selected, retained])
-    return AssignmentStructure(pair_idx=pair_idx, rows=rows, cols=cols,
-                               selected=selected, retained=retained,
-                               seed_of_col=seed_of_col, num_nodes=n,
-                               num_hyper=num_hyper)
-
-
-def assemble_assignment(phi_pairs: Tensor,
-                        structure: AssignmentStructure) -> Assignment:
-    """Attach the gradient-carrying values to an ``S_k`` skeleton.
-
-    The fancy-index gather and the concat are live autograd ops, so the
-    loss gradient reaches the fitness scores through ``values`` (the
-    unpooling path consumes them, Section 3.3).
-    """
-    dtype = phi_pairs.data.dtype
-    ones = Tensor(np.ones(structure.selected.shape[0]
-                          + structure.retained.shape[0], dtype=dtype),
-                  dtype=dtype)
-    member_values = phi_pairs[structure.pair_idx]
-    values = (concat([member_values, ones])
-              if member_values.shape[0] else ones)
-    return Assignment(rows=structure.rows, cols=structure.cols,
-                      values=values, num_nodes=structure.num_nodes,
-                      num_hyper=structure.num_hyper,
-                      selected=structure.selected,
-                      retained=structure.retained,
-                      seed_of_col=structure.seed_of_col)
-
-
 def build_assignment(phi_pairs: Tensor, egos: EgoNetworks,
                      selected: np.ndarray) -> Assignment:
     """Assemble ``S_k`` from the selected ego-networks.
@@ -175,42 +94,41 @@ def build_assignment(phi_pairs: Tensor, egos: EgoNetworks,
       (members may appear in several overlapping ego-networks);
     * ``S[i, col(i)] = 1`` for the ego itself (its own relation strength);
     * ``S[r, col(r)] = 1`` for every retained node r.
+
+    The fancy-index gather and the concat forming ``values`` are live
+    autograd ops, so the loss gradient reaches the fitness scores (the
+    unpooling path consumes them, Section 3.3).
     """
-    return assemble_assignment(phi_pairs, assignment_structure(egos,
-                                                               selected))
+    n = egos.num_nodes
+    selected = np.asarray(selected, dtype=np.int64)
+    is_selected = np.zeros(n, dtype=bool)
+    is_selected[selected] = True
+    col_of_ego = -np.ones(n, dtype=np.int64)
+    col_of_ego[selected] = np.arange(selected.shape[0])
 
+    pair_idx = np.flatnonzero(is_selected[egos.ego])
+    member_rows = egos.member[pair_idx]
+    member_cols = col_of_ego[egos.ego[pair_idx]]
 
-#: LRU of self-looped adjacency matrices keyed by memory identity of
-#: ``(edge_index, edge_weight)``, same contract as the segment-plan cache:
-#: entries pin their key arrays, callers treat structural arrays as
-#: immutable.  Level-0 batch structures are reused across epochs (the
-#: collated-batch cache), so their Â builds amortise to one per dataset;
-#: pooled-level edge lists are fresh tensors every step and simply rotate
-#: through the LRU.
-_A_HAT_CACHE_CAPACITY = 64
-_A_HAT_CACHE: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+    # A node is absorbed when it belongs to any selected ego-network —
+    # as a member or as the ego itself.
+    absorbed = np.zeros(n, dtype=bool)
+    absorbed[member_rows] = True
+    absorbed[selected] = True
+    retained = np.flatnonzero(~absorbed)
+    seed_of_col = np.concatenate([selected, retained])
+    num_hyper = seed_of_col.shape[0]
 
-
-def _a_hat_for(edge_index: np.ndarray, edge_weight: np.ndarray,
-               n: int) -> sp.csr_matrix:
-    ei = edge_index.__array_interface__
-    ew = edge_weight.__array_interface__
-    key = (ei["data"][0], edge_index.shape, edge_index.strides,
-           ew["data"][0], edge_weight.shape, n)
-    entry = _A_HAT_CACHE.get(key)
-    if entry is not None:
-        _A_HAT_CACHE.move_to_end(key)
-        return entry[0]
-    src, dst = edge_index
-    loops = np.arange(n, dtype=np.int64)
-    a_hat = sp.csr_matrix(
-        (np.concatenate([edge_weight, np.ones(n, dtype=edge_weight.dtype)]),
-         (np.concatenate([src, loops]), np.concatenate([dst, loops]))),
-        shape=(n, n))
-    _A_HAT_CACHE[key] = (a_hat, edge_index, edge_weight)
-    if len(_A_HAT_CACHE) > _A_HAT_CACHE_CAPACITY:
-        _A_HAT_CACHE.popitem(last=False)
-    return a_hat
+    rows = np.concatenate([member_rows, seed_of_col])
+    cols = np.concatenate([member_cols, np.arange(num_hyper)])
+    dtype = phi_pairs.data.dtype
+    ones = Tensor(np.ones(num_hyper, dtype=dtype), dtype=dtype)
+    member_values = phi_pairs[pair_idx]
+    values = (concat([member_values, ones])
+              if member_values.shape[0] else ones)
+    return Assignment(rows=rows, cols=cols, values=values, num_nodes=n,
+                      num_hyper=num_hyper, selected=selected,
+                      retained=retained, seed_of_col=seed_of_col)
 
 
 def hyper_graph_connectivity(assignment: Assignment, edge_index: np.ndarray,
@@ -225,12 +143,23 @@ def hyper_graph_connectivity(assignment: Assignment, edge_index: np.ndarray,
     the feature path (Eq. 3) and the unpooling path, matching the sparse
     implementations of this operator family.
     """
-    n = assignment.num_nodes
-    a_hat = _a_hat_for(edge_index, edge_weight, n)
-    s = assignment.matrix()
-    a_k = (s.T @ a_hat @ s).tocoo()
-    keep = a_k.row != a_k.col
-    new_edges = np.stack([a_k.row[keep], a_k.col[keep]]).astype(np.int64)
+    n, m = assignment.num_nodes, assignment.num_hyper
+    src, dst = edge_index
+    loops = np.arange(n, dtype=np.int64)
+    # canonical_csr rows are destinations, so these are Âᵀ, S and Sᵀ.
+    a_hat_t = canonical_csr(
+        np.concatenate([src, loops]), np.concatenate([dst, loops]),
+        np.concatenate([edge_weight, np.ones(n, dtype=edge_weight.dtype)]),
+        n, n)
+    rows, cols, values = assignment.rows, assignment.cols, assignment.values
+    s = canonical_csr(cols, rows, values.data, n, m)
+    s_t = canonical_csr(rows, cols, values.data, m, n)
+    # The operand order of scipy's CSC product ``s.T @ Â @ s``:
+    # (SᵀÂ)ᵀ = ÂᵀS, then (SᵀÂS)ᵀ = Sᵀ·(ÂᵀS); same weights, same order.
+    d_t = csr_matmul(s_t, csr_matmul(a_hat_t, s, m), m)
+    row, col = d_t.indices, d_t.row     # d_t[r, c] is A_k[c, r]
+    keep = row != col
+    new_edges = np.stack([row[keep], col[keep]])
     # Detached structural weights stay in the accumulation dtype; the
     # compute-dtype policy coerces them where they enter the graph.
-    return new_edges, a_k.data[keep].astype(ACCUM_DTYPE)
+    return new_edges, d_t.data[keep].astype(ACCUM_DTYPE)

@@ -8,11 +8,12 @@ coverage analysis of Figure 3.
 from __future__ import annotations
 
 from collections import deque
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from .blocks import canonical_csr, csr_add, csr_matmul
 from .graph import Graph
 
 
@@ -26,28 +27,44 @@ def adjacency_lists(graph: Graph) -> List[np.ndarray]:
             for i in range(graph.num_nodes)]
 
 
+def reachable_pairs(edge_index: np.ndarray, num_nodes: int,
+                    radius: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(source, target)`` pairs with ``1 <= d(source, target) <= radius``
+    on the undirected graph, row-major (grouped by ascending source).
+
+    Radius 1 is the canonical CSR of the symmetrised, loop-free edges, so
+    targets come out ascending.  Each further hop is one boolean product
+    and one union in the order ``reach + frontier @ adj`` on
+    ``csr_matrix`` objects ran them, so targets come out in those
+    kernels' accumulation order.  Node ids outside ``[0, num_nodes)``
+    raise ``ValueError``.
+    """
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    n = int(num_nodes)
+    src, dst = np.asarray(edge_index, dtype=np.int64)
+    loop_free = src != dst
+    src, dst = src[loop_free], dst[loop_free]
+    adj = canonical_csr(np.concatenate([src, dst]), np.concatenate([dst, src]),
+                        np.ones(2 * src.shape[0], dtype=bool), n, n)
+    reach = frontier = adj
+    for _ in range(radius - 1):
+        frontier = csr_matmul(frontier, adj, n)
+        reach = csr_add(reach, frontier, n)
+    source, target = reach.row, reach.indices
+    keep = source != target
+    return source[keep], target[keep]
+
+
 def k_hop_reachability(graph: Graph, k: int) -> sp.csr_matrix:
     """Boolean CSR matrix R with ``R[i, j] = 1`` iff ``1 <= d(i, j) <= k``.
 
-    Computed by repeated boolean sparse multiplication, which is efficient
-    for the small λ (1–2) the paper uses.  Self-distances are excluded.
+    Built from :func:`reachable_pairs`, the loop behind the ego-networks.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    adj = graph.adjacency(weighted=False)
-    adj = (adj + adj.T).astype(bool).tocsr()
-    adj.setdiag(False)
-    adj.eliminate_zeros()
-    reach = adj.copy()
-    frontier = adj
-    for _ in range(k - 1):
-        frontier = (frontier @ adj).astype(bool)
-        reach = (reach + frontier).astype(bool)
-    reach = reach.tolil()
-    reach.setdiag(False)
-    reach = reach.tocsr()
-    reach.eliminate_zeros()
-    return reach
+    n = graph.num_nodes
+    source, target = reachable_pairs(graph.edge_index, n, k)
+    return sp.csr_matrix((np.ones(source.shape[0], dtype=bool),
+                          (source, target)), shape=(n, n))
 
 
 def bfs_distances(graph: Graph, source: int, max_depth: int | None = None) -> np.ndarray:

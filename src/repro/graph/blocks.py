@@ -1,4 +1,9 @@
-"""Per-layer row plans for output-pruned message passing.
+"""Raw CSR arrays, and per-layer row plans for output-pruned message passing.
+
+:func:`canonical_csr`, :func:`csr_matmul` and :func:`csr_add` run scipy's
+``_sparsetools`` kernels on plain arrays, with no matrix object per call,
+and return the arrays the scipy expression holds.  They back the
+message-passing operators, λ-hop reachability and ``S_kᵀ Â S_k``.
 
 A sampled minibatch's loss reads only its seed rows, yet a plain L-layer
 stack computes every layer on every subgraph node.  A :class:`RowPlan`
@@ -23,31 +28,56 @@ computed on the whole subgraph, degrees included, exactly as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from ..tensor._segment_plans import _sptools
 from .csc import _segment_positions, sorted_unique
 
-__all__ = ["MessageFlowBlock", "RowPlan", "build_row_plan", "canonical_csr"]
+__all__ = ["CSR", "MessageFlowBlock", "RowPlan", "build_row_plan",
+           "canonical_csr", "csr_add", "csr_matmul"]
+
+
+class CSR(NamedTuple):
+    """Raw ``(indptr, indices, data)`` of a compressed sparse row matrix,
+    int64 indices; the column count travels as an argument."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    @property
+    def row(self) -> np.ndarray:
+        """Row id of every stored entry (the COO row array)."""
+        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
 
 
 def canonical_csr(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
-                  num_out: int, num_in: int,
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  num_out: int, num_in: int) -> CSR:
     """``(indptr, indices, data)`` of ``y[dst] += weight * x[src]``, an
     ``(num_out, num_in)`` operator.
 
     Rows are destinations, each row's sources ascending, duplicate
-    ``(dst, src)`` pairs summed: the layout ``scipy.sparse.csr_matrix(
-    (weight, (dst, src)))`` builds.  Two counting sorts (by source, then
-    stably by destination) do it in O(E) with scipy's own kernels, where
-    the scipy object sorts every row.
+    ``(dst, src)`` pairs summed left to right in input order: the arrays
+    ``scipy.sparse.csr_matrix((weight, (dst, src)))`` holds (its row sort
+    is unstable past 16 entries, so three or more duplicates there may
+    differ in the last bit).  Two counting sorts (by source, then stably
+    by destination) and scipy's ``csr_sum_duplicates`` do it in O(E),
+    where the scipy object sorts every row.  Ids out of range raise
+    ``ValueError`` (the kernels would write out of bounds).
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     weight = np.asarray(weight)
+    for ids, bound in ((src, num_in), (dst, num_out)):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise ValueError(f"node ids must lie in [0, {bound}); got "
+                             f"[{ids.min()}, {ids.max()}]")
     num_edges = src.shape[0]
     indptr = np.zeros(num_out + 1, dtype=np.int64)
     by_src = np.empty(num_in + 1, dtype=np.int64)
@@ -59,16 +89,34 @@ def canonical_csr(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
     data = np.empty(num_edges, dtype=weight.dtype)
     _sptools.csr_tocsc(num_in, num_out, by_src, src_dst, src_w,
                        indptr, indices, data)
-    row = np.repeat(np.arange(num_out), np.diff(indptr))
-    key = row * num_in + indices
-    if num_edges > 1 and (key[1:] == key[:-1]).any():
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        data = np.add.reduceat(data, first)
-        indices = indices[first]
-        indptr = np.zeros(num_out + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row[first], minlength=num_out),
-                  out=indptr[1:])
-    return indptr, indices, data
+    _sptools.csr_sum_duplicates(num_out, num_in, indptr, indices, data)
+    return CSR(indptr, indices[:indptr[-1]], data[:indptr[-1]])
+
+
+def _combine(kernel, a: CSR, b: CSR, num_cols: int, max_nnz: int) -> CSR:
+    indptr = np.empty(a.num_rows + 1, dtype=np.int64)
+    indices = np.empty(max_nnz, dtype=np.int64)
+    data = np.empty(max_nnz, dtype=np.result_type(a.data, b.data))
+    kernel(a.num_rows, num_cols, *a, *b, indptr, indices, data)
+    return CSR(indptr, indices[:indptr[-1]], data[:indptr[-1]])
+
+
+def csr_matmul(a: CSR, b: CSR, num_cols: int) -> CSR:
+    """``a @ b`` for a ``b`` of ``num_cols`` columns (scipy's
+    ``csr_matmat``): each output row in the kernel's accumulation order,
+    not sorted, exact zeros dropped — the arrays a ``csr_matrix`` product
+    of the same operands holds."""
+    return _combine(_sptools.csr_matmat, a, b, num_cols,
+                    _sptools.csr_matmat_maxnnz(a.num_rows, num_cols,
+                                               a.indptr, a.indices,
+                                               b.indptr, b.indices))
+
+
+def csr_add(a: CSR, b: CSR, num_cols: int) -> CSR:
+    """``a + b`` (scipy's ``csr_plus_csr``): a sorted merge when both are
+    canonical, else the kernel's accumulation order; zero sums dropped."""
+    return _combine(_sptools.csr_plus_csr, a, b, num_cols,
+                    a.indices.shape[0] + b.indices.shape[0])
 
 
 @dataclass(frozen=True)

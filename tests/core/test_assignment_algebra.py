@@ -32,7 +32,7 @@ class TestDenseEquivalence:
         graph, assignment = setup
         h_hyper = rng.normal(size=(assignment.num_hyper, 6))
         sparse_result = apply_assignment(assignment, Tensor(h_hyper))
-        dense_s = assignment.matrix().toarray()
+        dense_s = assignment.dense()
         assert np.allclose(sparse_result.data, dense_s @ h_hyper)
 
     def test_unpool_two_levels_equals_chained_matmul(self, setup, rng):
@@ -49,8 +49,8 @@ class TestDenseEquivalence:
 
         h_top = rng.normal(size=(assignment2.num_hyper, 4))
         result = unpool([assignment1, assignment2], Tensor(h_top))
-        s1 = assignment1.matrix().toarray()
-        s2 = assignment2.matrix().toarray()
+        s1 = assignment1.dense()
+        s2 = assignment2.dense()
         assert np.allclose(result.data, s1 @ (s2 @ h_top))
 
     def test_connectivity_equals_dense_sandwich(self, setup):
@@ -59,7 +59,7 @@ class TestDenseEquivalence:
             assignment, graph.edge_index, graph.edge_weight)
         n = graph.num_nodes
         a_hat = graph.dense_adjacency() + np.eye(n)
-        dense_s = assignment.matrix().toarray()
+        dense_s = assignment.dense()
         expected = dense_s.T @ a_hat @ dense_s
         rebuilt = sp.csr_matrix(
             (weight, (edges[0], edges[1])),

@@ -40,6 +40,16 @@ class TestBuildEgoNetworks:
         with pytest.raises(ValueError):
             build_ego_networks(triangle_graph.edge_index, 4, radius=0)
 
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("bad", [-1, 4, 7])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_node_ids_out_of_range_raise(self, triangle_graph, radius,
+                                         bad, side):
+        edges = triangle_graph.edge_index.copy()
+        edges[side, 2] = bad
+        with pytest.raises(ValueError, match="ids must lie in"):
+            build_ego_networks(edges, 4, radius)
+
     def test_directed_input_treated_undirected(self):
         g = Graph(np.array([[0], [1]]), num_nodes=2)  # one direction only
         egos = build_ego_networks(g.edge_index, 2, radius=1)
@@ -82,16 +92,11 @@ class TestMembersOfIndex:
         egos = build_ego_networks(g.edge_index, g.num_nodes)
         assert egos.members_of(2).size == 0
 
-    def test_index_built_lazily_and_reused(self, triangle_graph):
-        egos = build_ego_networks(triangle_graph.edge_index,
-                                  triangle_graph.num_nodes)
-        assert egos._csr_index is None
-        egos.members_of(0)
-        index = egos._csr_index
-        assert index is not None
-        egos.members_of(1)
-        assert (egos._csr_index[0] is index[0]
-                and egos._csr_index[1] is index[1])
+    def test_pairs_are_row_major(self, two_cliques_graph):
+        for radius in (1, 2, 3):
+            egos = build_ego_networks(two_cliques_graph.edge_index,
+                                      two_cliques_graph.num_nodes, radius)
+            assert (np.diff(egos.ego) >= 0).all()
 
 
 @settings(max_examples=20, deadline=None)

@@ -106,14 +106,14 @@ class TestBuildAssignment:
     def test_ego_entries_are_one(self, setup):
         egos, phi_pairs, selected = setup
         a = build_assignment(phi_pairs, egos, selected)
-        s = a.matrix().toarray()
+        s = a.dense()
         assert s[0, 0] == 1.0
         assert s[4, 1] == 1.0
 
     def test_member_entries_are_fitness(self, setup):
         egos, phi_pairs, selected = setup
         a = build_assignment(phi_pairs, egos, selected)
-        s = a.matrix().toarray()
+        s = a.dense()
         pair = np.flatnonzero((egos.ego == 0) & (egos.member == 1))[0]
         assert s[1, 0] == pytest.approx(phi_pairs.data[pair])
 
@@ -125,7 +125,7 @@ class TestBuildAssignment:
         assert a.retained.tolist() == [3]
         assert a.num_hyper == 2
         assert a.seed_of_col.tolist() == [0, 3]
-        assert a.matrix().toarray()[3, 1] == 1.0
+        assert a.dense()[3, 1] == 1.0
 
     def test_overlapping_egonets_share_members(self, two_cliques_graph,
                                                rng):
@@ -133,7 +133,7 @@ class TestBuildAssignment:
         phi_pairs = Tensor(rng.random(egos.num_pairs))
         # Nodes 0 and 1 are clique-mates: their ego-nets overlap heavily.
         a = build_assignment(phi_pairs, egos, np.array([0, 1]))
-        s = a.matrix().toarray()
+        s = a.dense()
         # Clique member 2 belongs to both selected ego-networks.
         assert s[2, 0] > 0 and s[2, 1] > 0
 
@@ -142,7 +142,7 @@ class TestBuildAssignment:
         phi_pairs = Tensor(rng.random(egos.num_pairs))
         a = build_assignment(phi_pairs, egos, np.zeros(0, dtype=np.int64))
         assert a.num_hyper == 4
-        assert np.allclose(a.matrix().toarray(), np.eye(4))
+        assert np.allclose(a.dense(), np.eye(4))
 
 
 class TestHyperGraphConnectivity:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import CSCGraph, build_row_plan, normalize_edges
-from repro.graph.blocks import canonical_csr
+from repro.graph.blocks import CSR, canonical_csr, csr_add, csr_matmul
 
 from .test_csc import random_symmetric_graph
 
@@ -43,6 +43,56 @@ def test_canonical_csr_sums_many_duplicates():
     assert np.array_equal(indptr, ref.indptr)
     assert np.array_equal(indices, ref.indices)
     np.testing.assert_allclose(data, ref.data, rtol=1e-12)
+
+
+@pytest.mark.parametrize("src, dst", [
+    ([0, -1], [1, 0]), ([0, 3], [1, 0]),      # source outside [0, 3)
+    ([0, 1], [-2, 0]), ([0, 1], [1, 2]),      # destination outside [0, 2)
+])
+def test_canonical_csr_rejects_out_of_range_ids(src, dst):
+    with pytest.raises(ValueError, match="ids must lie in"):
+        canonical_csr(np.array(src), np.array(dst), np.ones(2), 2, 3)
+
+
+def _scipy_arrays(m):
+    return CSR(m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data)
+
+
+def _random_csr(rng, rows, cols, nnz, dtype, canonical):
+    """A random scipy CSR matrix; a non-canonical one has each row's
+    entries shuffled, as a product's output rows are."""
+    m = sp.random(rows, cols, density=min(1.0, nnz / (rows * cols)),
+                  format="csr", dtype=dtype, random_state=rng)
+    if not canonical:
+        for i in range(rows):
+            lo, hi = m.indptr[i], m.indptr[i + 1]
+            order = lo + rng.permutation(hi - lo)
+            m.indices[lo:hi] = m.indices[order]
+            m.data[lo:hi] = m.data[order]
+        m.has_sorted_indices = False
+        m.has_canonical_format = False
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 12), inner=st.integers(1, 12),
+       cols=st.integers(1, 12), nnz=st.integers(0, 60),
+       canonical=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_raw_kernels_match_scipy_objects(rows, inner, cols, nnz, canonical,
+                                         seed):
+    rng = np.random.default_rng(seed)
+    a = _random_csr(rng, rows, inner, nnz, np.float32, canonical)
+    b = _random_csr(rng, inner, cols, nnz, np.float64, canonical)
+    c = _random_csr(rng, rows, inner, nnz, np.float64, canonical)
+    cases = [
+        (csr_matmul(_scipy_arrays(a), _scipy_arrays(b), cols), a @ b),
+        (csr_add(_scipy_arrays(a), _scipy_arrays(c), inner), a + c),
+    ]
+    for got, ref in cases:
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        assert got.data.dtype == ref.data.dtype
+        np.testing.assert_array_equal(got.data, ref.data)
 
 
 def brute_plan_rows(edge_index, num_nodes, num_outputs, num_layers):
