@@ -134,15 +134,14 @@ def _dense_baseline_arm(num_nodes: int) -> dict:
 
 
 def _training_arm(num_nodes: int, epochs: int, max_steps: int,
-                  batch_size: int, sampler: str = "uniform") -> dict:
+                  batch_size: int) -> dict:
     dataset = _scaled_dataset(num_nodes)
     features = prepare_node_features(dataset)
     model = make_node_classifier("gcn", features.shape[1],
                                  dataset.num_classes, seed=0)
     config = TrainConfig(sampled=True, epochs=epochs, patience=epochs,
                          seed=0, node_batch_size=batch_size, fanout=10,
-                         num_hops=2, sampler=sampler,
-                         max_steps_per_epoch=max_steps)
+                         num_hops=2, max_steps_per_epoch=max_steps)
     trainer = NodeClassificationTrainer(config)
     result = trainer.fit(model, dataset)
     steps_total = result.epochs_run * result.steps_per_epoch

@@ -36,9 +36,9 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 THREAD_ENV_KEYS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-#: Data-parallel knobs: process count routing ``fit`` through the sharded
-#: trainer, and the multiprocessing start-method override.
-DP_ENV_KEYS = ("REPRO_DP_PROCS", "REPRO_DP_START_METHOD")
+#: Data-parallel knob: the process count routing ``fit`` through the
+#: sharded trainer.
+DP_ENV_KEYS = ("REPRO_DP_PROCS",)
 
 
 def bench_environment(dtype: str, **extra) -> dict:

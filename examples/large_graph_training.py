@@ -6,12 +6,8 @@ proportional to the edge list, never O(n²)), then trained with sampled
 radius-λ ego-net minibatches over a CSC adjacency structure.  Each
 optimiser step touches only ``node_batch_size`` seed nodes plus their
 sampled receptive field, so epoch cost scales with the minibatch count
-rather than the node count.
-
-Two sampling policies are available: the uniform GraphSAGE baseline and a
-GRAPES-style adaptive policy that learns per-node utility scores from the
-gradient signal and concentrates the sampling budget where the task loss
-says the information is (``--sampler adaptive``).
+rather than the node count.  Neighbours are drawn uniformly at a fixed
+fanout per node and hop (the GraphSAGE scheme).
 
 Run with::
 
@@ -56,8 +52,6 @@ def main() -> None:
                         help="seed nodes per minibatch")
     parser.add_argument("--fanout", type=int, default=10,
                         help="neighbours sampled per node per hop")
-    parser.add_argument("--sampler", choices=("uniform", "adaptive"),
-                        default="uniform")
     parser.add_argument("--max-steps", type=int, default=None,
                         help="cap optimiser steps per epoch (full "
                              "permutation when omitted)")
@@ -72,7 +66,6 @@ def main() -> None:
                          patience=args.epochs, seed=args.seed,
                          node_batch_size=args.batch_size,
                          fanout=args.fanout, num_hops=2,
-                         sampler=args.sampler,
                          max_steps_per_epoch=args.max_steps,
                          verbose=True)
 
@@ -88,7 +81,7 @@ def main() -> None:
           f"(val {result.val_accuracy:.4f})")
     stats = trainer.cache_stats(model)
     sampler_stats = stats["sampler"]
-    print(f"Sampler [{sampler_stats.get('policy')}]: "
+    print("Sampler: "
           f"{sampler_stats.get('batches')} batches, "
           f"{sampler_stats.get('nodes_sampled'):,} nodes / "
           f"{sampler_stats.get('edges_sampled'):,} edges sampled, "

@@ -40,6 +40,7 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
+from ..tensor._segment_plans import _array_key
 from .normalize import normalize_edges
 
 #: Default bound on distinct cached structures.  Sized for "a handful of
@@ -51,11 +52,6 @@ DEFAULT_CAPACITY = 32
 #: one epoch's worth of train chunks fit comfortably; shuffled train
 #: chunks from older epochs are evicted LRU-first.
 DEFAULT_BATCH_CAPACITY = 64
-
-
-def _array_key(arr: np.ndarray) -> Tuple:
-    interface = arr.__array_interface__
-    return (interface["data"][0], arr.shape, arr.strides, arr.dtype.str)
 
 
 class StructureCache:

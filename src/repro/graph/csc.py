@@ -14,15 +14,12 @@ sampler semantics below are defined in terms of in-edges (messages are
 
 Two operations drive training:
 
-* :meth:`CSCGraph.sample_neighbors` — per-node fixed-fanout neighbour
-  draws, uniform or weighted (the pluggable sampler policies pass learned
-  weights), without replacement, exact when the degree is at most the
-  fanout.  The draw is batched over the whole frontier: every node's CSC
-  slice is gathered in one pass, each candidate edge of a node whose
-  degree exceeds the fanout gets one random key (uniform, or the
-  exponential key ``-log(1-u)/w`` when weighted, which draws the law of
-  ``Generator.choice(p=w/Σw, replace=False)``), and sorting by (node,
-  key) keeps the ``fanout`` smallest keys per node;
+* :meth:`CSCGraph.sample_neighbors` — per-node fixed-fanout uniform
+  neighbour draws without replacement, exact when the degree is at most
+  the fanout.  The draw is batched over the whole frontier: every node's
+  CSC slice is gathered in one pass, each candidate edge of a node whose
+  degree exceeds the fanout gets one uniform random key, and sorting by
+  (node, key) keeps the ``fanout`` smallest keys per node;
 * :meth:`CSCGraph.ego_net` — radius-λ sampled ego-net extraction around a
   seed set: λ rounds of frontier expansion whose union, relabelled to
   local ids with seeds first and symmetrised, is a subgraph every existing
@@ -198,27 +195,18 @@ class CSCGraph:
     # ------------------------------------------------------------------
     def sample_neighbors(self, nodes: np.ndarray, fanout: Optional[int],
                          rng: np.random.Generator,
-                         weights: Optional[np.ndarray] = None,
                          ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-node neighbour draws: ``(src, dst)`` in original ids.
 
         Every node in ``nodes`` contributes ``min(degree, fanout)``
         distinct in-neighbours (all of them when ``fanout`` is ``None``),
-        drawn without replacement — uniformly, or proportional to
-        ``weights`` (a full-graph score array) when given; a node whose
-        neighbours' weights sum to zero draws uniformly.  Edges come out
-        grouped by node in the order given, each group in CSC (ascending
-        source) order.
+        drawn uniformly without replacement.  Edges come out grouped by
+        node in the order given, each group in CSC (ascending source)
+        order.
 
         Only nodes with more neighbours than ``fanout`` draw: one
         ``rng.random`` key per candidate edge, all in a single call, and
         sorting by (node, key) keeps each node's ``fanout`` smallest keys.
-        Weighted keys are exponential, ``-log(1-u)/w``; the smallest ``k``
-        of them are a size-``k`` draw without replacement proportional to
-        ``w`` (Efraimidis–Spirakis), the law of ``Generator.choice(
-        p=w/Σw, replace=False)``.  A zero-weight neighbour keys to
-        infinity, so it is drawn only once every positive-weight neighbour
-        is.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         starts = self.indptr[nodes]
@@ -235,13 +223,6 @@ class CSCGraph:
         candidates = np.flatnonzero(np.repeat(heavy, degrees))
         node_of = np.repeat(np.arange(heavy_degrees.size), heavy_degrees)
         keys = rng.random(candidates.size)
-        if weights is not None:
-            w = weights[src[candidates]]
-            total = np.bincount(node_of, weights=w,
-                                minlength=heavy_degrees.size)
-            w = np.where((total > 0)[node_of], w, 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                keys = -np.log1p(-keys) / w
         # Order candidates by (node, key) with one integer sort: the keys'
         # global ranks are distinct, so node * count + rank is an exact,
         # tie-free composite (np.lexsort on float keys is ~10x slower).
@@ -258,8 +239,8 @@ class CSCGraph:
         return src[keep], dst[keep]
 
     def ego_net(self, seeds: np.ndarray, radius: int,
-                fanout: Optional[int], rng: np.random.Generator,
-                weights: Optional[np.ndarray] = None) -> SampledSubgraph:
+                fanout: Optional[int],
+                rng: np.random.Generator) -> SampledSubgraph:
         """Sampled radius-``radius`` ego-net around ``seeds``.
 
         ``radius`` rounds of :meth:`sample_neighbors` starting from the
@@ -284,7 +265,7 @@ class CSCGraph:
         for _ in range(radius):
             if frontier.size == 0:
                 break
-            src, dst = self.sample_neighbors(frontier, fanout, rng, weights)
+            src, dst = self.sample_neighbors(frontier, fanout, rng)
             src_parts.append(src)
             dst_parts.append(dst)
             fresh = sorted_unique(src[~visited[src]])

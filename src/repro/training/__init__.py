@@ -8,8 +8,7 @@ from .node_trainer import (NodeClassificationTrainer, NodeTrainResult,
 from .link_trainer import LinkPredictionTrainer, LinkTrainResult
 from .graph_trainer import (GraphClassificationTrainer, GraphTrainResult,
                             iterate_batches)
-from .samplers import (AdaptiveNeighborSampler, NeighborSampler,
-                       UniformNeighborSampler, make_sampler, minibatch_rng)
+from .samplers import NeighborSampler, minibatch_rng
 from .sharding import (ShardAssignment, make_shards, shard_dropout_rngs,
                        shard_sampler, worker_shards)
 from .dataparallel import ShardedTrainer
@@ -27,8 +26,7 @@ __all__ = [
     "prepare_node_features",
     "LinkPredictionTrainer", "LinkTrainResult",
     "GraphClassificationTrainer", "GraphTrainResult", "iterate_batches",
-    "AdaptiveNeighborSampler", "NeighborSampler", "UniformNeighborSampler",
-    "make_sampler", "minibatch_rng",
+    "NeighborSampler", "minibatch_rng",
     "ShardAssignment", "ShardedTrainer", "make_shards",
     "shard_dropout_rngs", "shard_sampler", "worker_shards",
     "ADAMGNN_LEVELS_GC", "ADAMGNN_LEVELS_LP", "ADAMGNN_LEVELS_NC",

@@ -97,9 +97,6 @@ class TrainConfig:
     #: Ego-net radius λ of each sampled minibatch; match the model's
     #: receptive field (2 for the 2-layer baselines).
     num_hops: int = 2
-    #: Neighbour-sampling policy: ``"uniform"`` (GraphSAGE baseline) or
-    #: ``"adaptive"`` (GRAPES-style learned utility scores).
-    sampler: str = "uniform"
     #: Optional cap on optimizer steps per sampled epoch (``None`` = the
     #: full train-node permutation).  The scaling benchmark uses this to
     #: time fixed minibatch budgets on 10^6-node graphs.
@@ -133,9 +130,6 @@ class TrainConfig:
             raise ValueError("fanout must be >= 1 or None")
         if self.num_hops < 1:
             raise ValueError("num_hops must be >= 1")
-        if self.sampler not in ("uniform", "adaptive"):
-            raise ValueError(
-                f"sampler must be 'uniform' or 'adaptive', got {self.sampler!r}")
         if self.max_steps_per_epoch is not None \
                 and self.max_steps_per_epoch < 1:
             raise ValueError("max_steps_per_epoch must be >= 1 or None")

@@ -36,13 +36,13 @@ and the trainer delegates to the ordinary
 
 Worker processes
 ----------------
-Workers are spawned once per ``fit`` (default start method: ``fork``
-when available, override with ``REPRO_DP_START_METHOD``) and are
-persistent: each owns a private model replica, its own
-:class:`~repro.core.DatasetStructures` pipeline, step-capture registry
-and gradient arenas, and re-enters the coordinator's kernel mode
-(``naive_kernels`` or not) so a shard computes the same bits in any
-process.  The per-step protocol over each worker's pipe is::
+Workers are spawned once per ``fit`` (start method ``fork`` when
+available, else the platform's first) and are persistent: each owns a
+private model replica, its own :class:`~repro.core.DatasetStructures`
+pipeline, step-capture registry and gradient arenas, and re-enters the
+coordinator's kernel mode (``naive_kernels`` or not) so a shard computes
+the same bits in any process.  The per-step protocol over each worker's
+pipe is::
 
     coordinator                      worker
     ("epoch", e)  ────────────────▶  permute shards, build chunks
@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import os
 import traceback
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence
@@ -356,16 +355,9 @@ class _SerialStepper:
 
 
 def _resolve_start_method() -> str:
-    """Pick the multiprocessing start method (env-overridable)."""
+    """Pick the multiprocessing start method: ``fork`` when available."""
     import multiprocessing as mp
     available = mp.get_all_start_methods()
-    requested = os.environ.get("REPRO_DP_START_METHOD", "").strip()
-    if requested:
-        if requested not in available:
-            raise CommUnavailable(
-                f"start method {requested!r} not available "
-                f"(have {available})")
-        return requested
     return "fork" if "fork" in available else available[0]
 
 

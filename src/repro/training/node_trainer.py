@@ -22,12 +22,11 @@ from ..nn import Module, cross_entropy
 from ..optim import clip_grad_norm
 from ..tensor import (Tensor, default_dtype, get_default_dtype, no_grad,
                       segment_plan_stats)
-from ..tensor.precision import ACCUM_DTYPE
 from .capture import StepCapture, model_rngs, run_step
 from .config import TrainConfig
 from .loop import EpochLog, adamgnn_loss, train_epochs
 from .metrics import accuracy
-from .samplers import NeighborSampler, eval_rng, make_sampler, minibatch_rng
+from .samplers import NeighborSampler, eval_rng, minibatch_rng
 
 #: Sampled evaluation uses exact radius-λ ego-nets (no fanout cap) up to
 #: this many graph nodes; beyond it, eval samples at twice the training
@@ -86,7 +85,7 @@ class NodeClassificationTrainer:
         #: training-step tape/arena registry (None = capture disabled)
         self._capture: Optional[StepCapture] = \
             StepCapture() if self.config.capture else None
-        #: neighbour-sampling policy of the last sampled fit (counters)
+        #: neighbour sampler of the last sampled fit (counters)
         self._sampler: Optional[NeighborSampler] = None
 
     def cache_stats(self, model: Optional[Module] = None,
@@ -198,8 +197,7 @@ class NodeClassificationTrainer:
         so a capture key would never recur.
         """
         sub = sampler.sample(csc, seeds, rng_b)
-        x_sub = Tensor(features[sub.nodes], dtype=self.config.dtype,
-                       requires_grad=sampler.needs_input_grad)
+        x_sub = Tensor(features[sub.nodes], dtype=self.config.dtype)
         sub_weight = np.ones(sub.num_edges, dtype=np.dtype(self.config.dtype))
         model.zero_grad()
         logits, extra = self._forward(model, x_sub, sub.edge_index,
@@ -213,10 +211,6 @@ class NodeClassificationTrainer:
             lambda h: sampled_reconstruction_loss(
                 h, sub.edge_index, sub.num_nodes, rng_b))
         loss.backward()
-        if x_sub.grad is not None:
-            signal = np.sqrt(
-                (x_sub.grad.astype(ACCUM_DTYPE) ** 2).sum(axis=1))
-            sampler.update(sub, signal)
         return loss
 
     def _evaluate_sampled(self, model: Module, csc: CSCGraph,
@@ -280,8 +274,7 @@ class NodeClassificationTrainer:
                                                          copy=False)
         labels = np.asarray(graph.y, dtype=np.int64)
         csc = CSCGraph.from_graph(graph)
-        sampler = make_sampler(cfg.sampler, cfg.fanout, cfg.num_hops,
-                               graph.num_nodes)
+        sampler = NeighborSampler(cfg.fanout, cfg.num_hops)
         self._sampler = sampler
         train_idx = np.asarray(dataset.splits.train, dtype=np.int64)
         val_idx = np.asarray(dataset.splits.val, dtype=np.int64)

@@ -123,30 +123,6 @@ class TestSampleNeighbors:
         b = csc.sample_neighbors(np.arange(50), 4, np.random.default_rng(7))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_weighted_sampling_valid_and_biased(self):
-        edges = random_symmetric_graph(30, 200, seed=5)
-        csc = CSCGraph.from_edge_index(edges, 30)
-        weights = np.full(30, 1e-6)
-        favored = int(csc.neighbors(0)[0])
-        weights[favored] = 1e6
-        hits = 0
-        for trial in range(20):
-            src, dst = csc.sample_neighbors(
-                np.array([0]), fanout=1, rng=np.random.default_rng(trial),
-                weights=weights)
-            assert np.isin(src, csc.neighbors(0)).all()
-            hits += int(favored in src)
-        assert hits >= 18  # overwhelming weight → (almost) always drawn
-
-    def test_zero_weights_fall_back_to_uniform(self):
-        edges = random_symmetric_graph(20, 100, seed=6)
-        csc = CSCGraph.from_edge_index(edges, 20)
-        src, dst = csc.sample_neighbors(
-            np.arange(20), fanout=2, rng=np.random.default_rng(0),
-            weights=np.zeros(20))
-        for v in np.unique(dst):
-            assert np.isin(src[dst == v], csc.neighbors(v)).all()
-
     def test_isolated_nodes_contribute_nothing(self):
         edges = np.array([[1, 2], [2, 1]], dtype=np.int64)
         csc = CSCGraph.from_edge_index(edges, 6)
@@ -198,14 +174,14 @@ def star(degree: int) -> CSCGraph:
     return CSCGraph.from_edge_index(edges, degree + 1)
 
 
-def hub_inclusion(csc: CSCGraph, fanout: int, draws: int, seed: int,
-                  weights=None) -> np.ndarray:
+def hub_inclusion(csc: CSCGraph, fanout: int, draws: int,
+                  seed: int) -> np.ndarray:
     """Share of ``draws`` samples of node 0 that include each neighbour.
 
     ``draws`` copies of node 0 in one call are ``draws`` independent
     samples (one key per candidate edge)."""
     src, _ = csc.sample_neighbors(np.zeros(draws, dtype=np.int64), fanout,
-                                  np.random.default_rng(seed), weights)
+                                  np.random.default_rng(seed))
     nbrs = csc.neighbors(0)
     assert src.size == draws * fanout
     return np.bincount(np.searchsorted(nbrs, src),
@@ -221,34 +197,6 @@ class TestSamplingLaw:
         freq = hub_inclusion(star(10), fanout=3, draws=self.DRAWS, seed=0)
         # Binomial std at p = 0.3 over 4000 draws is 0.0072: 0.04 is 5.5σ.
         assert np.abs(freq - 3 / 10).max() < 0.04
-
-    def test_weighted_inclusion_matches_choice_reference(self):
-        weights = np.array([0.0, 8.0, 4.0, 2.0, 1.0, 0.5, 0.5])
-        fanout = 2
-        freq = hub_inclusion(star(6), fanout, self.DRAWS, seed=1,
-                             weights=weights)
-        p = weights[1:] / weights[1:].sum()
-        rng = np.random.default_rng(2)
-        ref = np.zeros(p.size)
-        for _ in range(self.DRAWS):
-            ref[rng.choice(p.size, size=fanout, replace=False, p=p)] += 1
-        ref /= self.DRAWS
-        # Two independent frequencies differ with std <= sqrt(2 · 0.25 /
-        # 4000) = 0.011, so 0.05 is over 4.5σ.
-        assert np.abs(freq - ref).max() < 0.05
-        # Both follow the exact law of two successive weighted draws:
-        # P(i) = p_i + Σ_{j≠i} p_j · p_i / (1 − p_j).
-        exact = p + p * ((p / (1 - p)).sum() - p / (1 - p))
-        assert np.abs(freq - exact).max() < 0.04
-        assert np.abs(ref - exact).max() < 0.04
-
-    def test_zero_weight_neighbours_drawn_last(self):
-        weights = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        src, _ = star(5).sample_neighbors(np.zeros(50, dtype=np.int64), 3,
-                                          np.random.default_rng(3), weights)
-        # Each sample keeps both positive-weight leaves, then one more.
-        for row in src.reshape(50, 3).tolist():
-            assert {1, 2} <= set(row)
 
 
 class TestRngConsumption:

@@ -12,17 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets import NodeDataset, split_nodes
-from repro.datasets.sbm import generate_sbm_graph, scaled_sbm_config
 from repro.graph import CSCGraph, normalize_edges
 from repro.layers.message_passing import propagate, propagate_block
 from repro.models import GNNNodeClassifier
 from repro.nn import cross_entropy
 from repro.tensor import Tensor, default_dtype, naive_kernels
-from repro.training import (AdaptiveNeighborSampler,
-                            NodeClassificationTrainer, TrainConfig,
-                            minibatch_rng)
-from repro.training.experiment import make_node_classifier
 
 from ..graph.test_csc import random_symmetric_graph
 
@@ -177,43 +171,3 @@ def test_gin_computes_every_row():
                           sub.num_seeds) is None
     out = model(Tensor(x), sub.edge_index, num_outputs=sub.num_seeds)
     assert out.shape == (sub.num_nodes, 3)
-
-
-class _RecordingSampler(AdaptiveNeighborSampler):
-    def update(self, subgraph, node_signal):
-        self.seen = (subgraph, node_signal)
-        super().update(subgraph, node_signal)
-
-
-def test_adaptive_signal_is_zero_outside_needed_rows():
-    cfg = scaled_sbm_config(400, num_features=16)
-    graph = generate_sbm_graph(cfg, seed=0)
-    dataset = NodeDataset("sbm-400", graph, cfg.num_classes, split_nodes(
-        graph.num_nodes, np.random.default_rng(0)))
-    # Three hops under a two-layer stack: the outer hop is never read.
-    config = TrainConfig(sampled=True, sampler="adaptive", fanout=4,
-                         num_hops=3, node_batch_size=16, seed=0)
-    csc = CSCGraph.from_graph(graph)
-    features = graph.x.astype(np.float32)
-    labels = np.asarray(graph.y, dtype=np.int64)
-    seeds = dataset.splits.train[:16]
-    model = make_node_classifier("gcn", 16, cfg.num_classes,
-                                 seed=0).astype("float32")
-    twin = copy.deepcopy(model)
-    runs = []
-    twin.encoder.row_plan = lambda *args: None
-    for m in (model, twin):
-        sampler = _RecordingSampler(4, 3, graph.num_nodes)
-        NodeClassificationTrainer(config)._sampled_step(
-            m, sampler, csc, seeds, features, labels,
-            minibatch_rng(0, 0, 0))
-        runs.append(sampler.seen)
-    (sub, pruned), (_, full) = runs
-    plan = model.row_plan(sub.edge_index,
-                          np.ones(sub.num_edges, dtype=np.float32),
-                          sub.num_nodes, sub.num_seeds)
-    needed = np.zeros(sub.num_nodes, dtype=bool)
-    needed[plan.input_rows] = True
-    assert 0 < needed.sum() < sub.num_nodes
-    assert np.all(pruned[~needed] == 0)
-    np.testing.assert_allclose(pruned[needed], full[needed], rtol=1e-5)

@@ -2,10 +2,11 @@
 
 ``benchmarks/suite/instrument.py`` replaces the Eq. 7 loss terms and the
 gradient clip as module globals of ``graph_trainer`` and ``node_trainer``,
-and stamps epochs at ``EarlyStopping.step``.  A trainer that calls a
-reference bound anywhere else bypasses the wrapper and the suite's spans
-silently read 0.  These fits wrap the same names with counters and check
-that every one fires on the paths that call it.
+stamps epochs at ``EarlyStopping.step`` and times sampled batches at
+``NeighborSampler.sample``.  A trainer that calls a reference bound
+anywhere else bypasses the wrapper and the suite's spans silently read 0.
+These fits wrap the same names with counters and check that every one
+fires on the paths that call it.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.datasets import (GraphDataset, NodeDataset, SBMConfig,
 from repro.models import GNNNodeClassifier
 from repro.training import (EarlyStopping, GraphClassificationTrainer,
                             NodeClassificationTrainer, TrainConfig)
-from repro.training import graph_trainer, node_trainer
+from repro.training import graph_trainer, node_trainer, samplers
 
 HOOKED = ("cross_entropy", "self_optimisation_loss",
           "sampled_reconstruction_loss", "clip_grad_norm")
@@ -109,3 +110,22 @@ def test_sampled_gcn_fit_calls_task_loss_and_clip(calls, tiny_nodes):
     assert _fired(calls, "node_trainer") == {"cross_entropy",
                                              "clip_grad_norm"}
     _assert_one_stop_per_epoch(calls, result)
+
+
+def test_sampled_fit_calls_sampler_once_per_step(monkeypatch, tiny_nodes):
+    # The suite wraps the class attribute, as here: a trainer that renamed
+    # the method or drew subgraphs another way would leave it uncalled.
+    counts = {"sample": 0}
+    original = samplers.NeighborSampler.sample
+
+    def counting(self, *args, **kwargs):
+        counts["sample"] += 1
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(samplers.NeighborSampler, "sample", counting)
+    model = GNNNodeClassifier("gcn", 24, 2, hidden=16,
+                              rng=np.random.default_rng(0))
+    result = NodeClassificationTrainer(TrainConfig(
+        epochs=EPOCHS, patience=EPOCHS, seed=0, sampled=True,
+        node_batch_size=16, fanout=5, num_hops=2)).fit(model, tiny_nodes)
+    assert result.steps_per_epoch > 1
+    assert counts["sample"] == result.epochs_run * result.steps_per_epoch

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_node_dataset
-from repro.training import (AdaptiveNeighborSampler, TrainConfig,
-                            UniformNeighborSampler, make_sampler,
-                            minibatch_rng)
+from repro.training import NeighborSampler, TrainConfig, minibatch_rng
 from repro.training.experiment import make_node_classifier
 from repro.training.node_trainer import (NodeClassificationTrainer,
                                          prepare_node_features)
@@ -65,12 +63,6 @@ class TestDeterminism:
         assert a.test_accuracy == b.test_accuracy
         assert a.val_accuracy == b.val_accuracy
 
-    def test_adaptive_fit_is_bitwise_reproducible(self, cora):
-        a = fit(cora, epochs=5, sampler="adaptive")
-        b = fit(cora, epochs=5, sampler="adaptive")
-        assert a.history == b.history
-        assert a.test_accuracy == b.test_accuracy
-
     def test_seed_changes_trajectory(self, cora):
         a = fit(cora, epochs=5)
         b = fit(cora, epochs=5, seed=1)
@@ -91,7 +83,6 @@ class TestCountersAndResult:
         trainer, model, result = fit_trainer(cora, epochs=3)
         stats = trainer.cache_stats(model)
         sampler = stats["sampler"]
-        assert sampler["policy"] == "uniform"
         assert sampler["batches"] > 0
         assert sampler["nodes_sampled"] > 0
         assert sampler["edges_sampled"] > 0
@@ -106,15 +97,6 @@ class TestCountersAndResult:
         capped = fit(cora, epochs=2, node_batch_size=100,
                      max_steps_per_epoch=2)
         assert capped.steps_per_epoch == 2
-
-    def test_adaptive_sampler_learns(self, cora):
-        trainer, model, result = fit_trainer(cora, epochs=5,
-                                             sampler="adaptive")
-        stats = trainer.cache_stats(model)["sampler"]
-        assert stats["policy"] == "adaptive"
-        assert stats["updates"] > 0
-        assert stats["score_max"] > stats["score_mean"] > 0
-        assert result.test_accuracy >= 0.5
 
     def test_validation_egonets_drawn_once_per_fit(self, cora, monkeypatch):
         import repro.training.node_trainer as node_trainer
@@ -185,7 +167,7 @@ class TestCountersAndResult:
 
     def test_fanout_histogram_counts_sampled_indegrees(self, cora):
         from repro.graph import CSCGraph
-        sampler = UniformNeighborSampler(5, 2)
+        sampler = NeighborSampler(5, 2)
         csc = CSCGraph.from_graph(cora.graph)
         sub = sampler.sample(csc, np.arange(64), minibatch_rng(0, 0, 0))
         indeg = np.bincount(sub.edge_index[1], minlength=sub.num_nodes)
@@ -210,41 +192,21 @@ class TestConfigValidation:
         (dict(node_batch_size=0), "node_batch_size"),
         (dict(fanout=0), "fanout"),
         (dict(num_hops=0), "num_hops"),
-        (dict(sampler="gflownet"), "sampler"),
         (dict(max_steps_per_epoch=0), "max_steps_per_epoch"),
     ])
     def test_rejects_bad_values(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**kwargs)
 
-    def test_make_sampler(self):
-        assert isinstance(make_sampler("uniform", 5, 2, 10),
-                          UniformNeighborSampler)
-        adaptive = make_sampler("adaptive", 5, 2, 10)
-        assert isinstance(adaptive, AdaptiveNeighborSampler)
-        assert adaptive.scores.shape == (10,)
-        with pytest.raises(ValueError, match="unknown sampler"):
-            make_sampler("learned", 5, 2, 10)
+    def test_fit_builds_sampler_from_config(self, cora):
+        trainer, model, _ = fit_trainer(cora, epochs=1, fanout=4,
+                                        num_hops=3)
+        assert isinstance(trainer._sampler, NeighborSampler)
+        stats = trainer.cache_stats(model)["sampler"]
+        assert (stats["fanout"], stats["num_hops"]) == (4, 3)
 
     def test_sampler_argument_validation(self):
         with pytest.raises(ValueError, match="num_hops"):
-            UniformNeighborSampler(5, 0)
+            NeighborSampler(5, 0)
         with pytest.raises(ValueError, match="fanout"):
-            UniformNeighborSampler(0, 2)
-        with pytest.raises(ValueError, match="ema"):
-            AdaptiveNeighborSampler(5, 2, 10, ema=0.0)
-        with pytest.raises(ValueError, match="floor"):
-            AdaptiveNeighborSampler(5, 2, 10, floor=2.0)
-
-    def test_adaptive_update_shape_check(self):
-        from repro.graph.csc import SampledSubgraph
-        sampler = AdaptiveNeighborSampler(5, 2, 10)
-        sub = SampledSubgraph(nodes=np.array([0, 1, 2]),
-                              edge_index=np.zeros((2, 0), dtype=np.int64),
-                              num_seeds=1)
-        with pytest.raises(ValueError, match="one entry per"):
-            sampler.update(sub, np.ones(5))
-        sampler.update(sub, None)          # no-signal steps are fine
-        assert sampler.updates == 0
-        sampler.update(sub, np.array([1.0, 2.0, 3.0]))
-        assert sampler.updates == 1
+            NeighborSampler(0, 2)
