@@ -28,8 +28,8 @@ interprocedural rules share:
     The analysis is deliberately flow-insensitive (like the per-file
     rules it upgrades): a binding anywhere in a function taints the name
     everywhere in that function.  That over-approximates, which is the
-    correct polarity for a lint — false positives are suppressed with a
-    pragma, false negatives are silent.
+    correct polarity for a lint — a false positive is fixed in the rule,
+    a false negative is silent.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
 """replint — static invariant checker for the autograd/kernel stack.
 
-The repo's load-bearing invariants (dtype stability, grad-mode purity,
-arena aliasing rules, fused-kernel/VJP correspondence) are enforced by
-convention in code review; this module makes five of them mechanical:
+The repo's load-bearing invariants are mostly held by tier-1 tests (the
+dtype-stability parity tests, the weight-fingerprint pins, the parameter
+gradient checks).  replint keeps a rule only where it is the sole catch
+for its bug class:
 
 ========  ==========================================================
-RL001     dtype-literal escapes bypassing ``precision.resolve_dtype``
 RL002     fused ops with custom VJPs lacking a gradcheck
 RL003     workspace arena buffers escaping their replay step
-RL004     in-place mutation of tensor storage outside sanctioned sites
 RL005     backward closures / tape records retaining arena slots
           across training-arena generations
+RL006     comm-lane writes outside a ``@reduce_window`` function
+RL008     off-dispatcher writes to the server's sole-writer caches
+RL009     set / ``id()``-dict iteration order reaching RNG draws,
+          concatenation or serialized output
 ========  ==========================================================
 
 Usage (library)::
@@ -21,31 +24,20 @@ Usage (library)::
         print(f.format())
 
 Usage (CLI): ``python -m tools.replint src/repro`` — see ``tools/replint``.
-
-Baselines
----------
-``write_baseline`` serialises the current findings to JSON;
-``regressions_against`` replays a lint run against such a baseline and
-returns only *new* findings.  Baseline identity is ``(rule, path,
-stripped-line-text)`` with a count, so shifting lines neither hides nor
-invents findings, while re-introducing a fixed violation (same text, count
-above baseline) fails immediately.
+Every finding fails the run; a false positive is fixed in the rule.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .project import ProjectIndex
 from .rules import Finding, Rule, SourceFile, default_rules
 
 PathLike = Union[str, Path]
-
-BASELINE_VERSION = 1
 
 
 def find_project_root(start: Path) -> Path:
@@ -77,24 +69,17 @@ def _collect_files(paths: Sequence[PathLike]) -> List[Path]:
 
 @dataclass
 class LintReport:
-    """Findings plus the context needed to render and compare them."""
+    """Findings plus the context needed to render them."""
 
     findings: List[Finding]
     root: Path
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
-    #: findings silenced by an inline ``# replint: allow`` pragma —
-    #: kept so ``--check-pragmas`` can prove every pragma still earns
-    #: its keep (never serialized, never part of the baseline)
-    suppressed: List[Finding] = field(default_factory=list)
-    #: the parsed sources of this run (pragma maps live on them)
+    #: the parsed sources of this run
     sources: List[SourceFile] = field(default_factory=list)
 
     def counts(self) -> Dict[str, int]:
         counter: Counter = Counter(f.rule for f in self.findings)
         return dict(sorted(counter.items()))
-
-    def by_rule(self, rule_id: str) -> List[Finding]:
-        return [f for f in self.findings if f.rule == rule_id]
 
 
 def lint_paths(paths: Sequence[PathLike],
@@ -124,148 +109,12 @@ def lint_paths(paths: Sequence[PathLike],
             parse_errors.append((rel, str(exc)))
 
     project = ProjectIndex(root_path, sources)
-    by_rel = {src.rel: src for src in sources}
     findings: List[Finding] = []
-    suppressed: List[Finding] = []
-
-    def emit(rule: Rule, finding: Finding) -> None:
-        src = by_rel.get(finding.path)
-        if src is not None and src.is_allowed(rule.id, finding.line):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-
     for rule in rules:
         for src in sources:
-            for finding in rule.check_file(src):
-                emit(rule, finding)
-        for finding in rule.check_project(root_path, sources):
-            emit(rule, finding)
-        for finding in rule.check_graph(project):
-            emit(rule, finding)
+            findings.extend(rule.check_file(src))
+        findings.extend(rule.check_project(root_path, sources))
+        findings.extend(rule.check_graph(project))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    suppressed.sort(key=lambda f: (f.path, f.line, f.rule))
     return LintReport(findings=findings, root=root_path,
-                      parse_errors=parse_errors, suppressed=suppressed,
-                      sources=list(sources))
-
-
-# ---------------------------------------------------------------------------
-# Pragma hygiene
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class StalePragma:
-    """An ``# replint: allow`` pragma that suppresses nothing.
-
-    Either the violation it excused was fixed (or the rule got smarter —
-    the interprocedural upgrade retired several), or the pragma names a
-    rule id the linter does not know.  Both are lies in the margin: the
-    comment claims a contract exception that no longer exists.
-    """
-
-    path: str
-    line: int
-    unused: Tuple[str, ...]    # rule ids with no finding on this line
-    unknown: Tuple[str, ...]   # rule ids no shipped rule answers to
-    text: str
-
-    def format(self) -> str:
-        parts = []
-        if self.unused:
-            parts.append(f"suppresses nothing for {', '.join(self.unused)}")
-        if self.unknown:
-            parts.append(f"names unknown rule(s) {', '.join(self.unknown)}")
-        return (f"{self.path}:{self.line}: stale pragma "
-                f"({'; '.join(parts)}): {self.text}")
-
-
-def stale_pragmas(report: LintReport,
-                  rules: Sequence[Rule]) -> List[StalePragma]:
-    """Allow-pragmas in the linted sources that no current finding needs.
-
-    A pragma id is *live* when a finding of that rule lands on its line
-    (it will be in ``report.suppressed``); every other id it names is
-    stale.  Run with the full default rule set — a subset run would
-    declare other rules' pragmas stale.
-    """
-    known = {rule.id for rule in rules}
-    used: Dict[Tuple[str, int], set] = {}
-    for finding in report.suppressed:
-        used.setdefault((finding.path, finding.line), set()).add(finding.rule)
-    stale: List[StalePragma] = []
-    for src in report.sources:
-        if src.skip_all:
-            continue
-        for lineno, ids in sorted(src.allowed.items()):
-            live = used.get((src.rel, lineno), set())
-            unused = tuple(sorted(ids & known - live))
-            unknown = tuple(sorted(ids - known))
-            if unused or unknown:
-                stale.append(StalePragma(
-                    path=src.rel, line=lineno, unused=unused,
-                    unknown=unknown, text=src.line_text(lineno)))
-    return stale
-
-
-# ---------------------------------------------------------------------------
-# Baseline support
-# ---------------------------------------------------------------------------
-def _baseline_counter(findings: Iterable[Finding]) -> Counter:
-    return Counter(f.key for f in findings)
-
-
-def write_baseline(report: LintReport, path: PathLike) -> dict:
-    """Serialise the report's findings as a regression baseline."""
-    counter = _baseline_counter(report.findings)
-    payload = {
-        "version": BASELINE_VERSION,
-        "comment": ("Pre-existing replint findings accepted at baseline "
-                    "time.  CI fails only on findings NOT in this file; "
-                    "shrink it by fixing entries, never grow it by hand."),
-        "findings": [
-            {"rule": rule, "path": rel, "text": text, "count": count}
-            for (rule, rel, text), count in sorted(counter.items())
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def load_baseline(path: PathLike) -> Counter:
-    """Load a baseline file into a ``(rule, path, text) -> count`` map."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported replint baseline version "
-            f"{payload.get('version')!r} in {path}")
-    counter: Counter = Counter()
-    for entry in payload.get("findings", []):
-        counter[(entry["rule"], entry["path"], entry["text"])] \
-            += int(entry.get("count", 1))
-    return counter
-
-
-def regressions_against(report: LintReport,
-                        baseline: Counter) -> List[Finding]:
-    """Findings not covered by the baseline (new sites, or counts above
-    the recorded count for a known site)."""
-    budget = Counter(baseline)
-    fresh: List[Finding] = []
-    for finding in report.findings:
-        if budget[finding.key] > 0:
-            budget[finding.key] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
-
-
-def fixed_entries(report: LintReport,
-                  baseline: Counter) -> List[Tuple[str, str, str]]:
-    """Baseline entries no longer present — candidates for baseline
-    shrinking (reported so the file can be regenerated)."""
-    current = _baseline_counter(report.findings)
-    gone: List[Tuple[str, str, str]] = []
-    for key, count in sorted(baseline.items()):
-        if current[key] < count:
-            gone.append(key)
-    return gone
+                      parse_errors=parse_errors, sources=list(sources))

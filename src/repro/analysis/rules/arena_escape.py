@@ -30,8 +30,7 @@ the aliasing contract.
 
 The tracking is flow-insensitive on purpose: a name bound to a ws-call
 (or to a taint-returning helper's result) anywhere in a function taints
-every ``return <name>`` in that function.  False positives are
-suppressed with ``# replint: allow RL003 -- <why>``.
+every ``return <name>`` in that function.
 """
 
 from __future__ import annotations

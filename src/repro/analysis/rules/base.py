@@ -1,45 +1,34 @@
 """Shared infrastructure for replint rules.
 
 A rule inspects Python source (as an ``ast`` tree plus raw lines) and emits
-:class:`Finding` objects.  Two granularities exist:
+:class:`Finding` objects.  Three granularities exist:
 
-* :meth:`Rule.check_file` — per-file AST checks (RL001/RL003/RL004);
+* :meth:`Rule.check_file` — per-file AST checks (RL006);
 * :meth:`Rule.check_project` — whole-repo cross-reference checks (RL002
-  needs both ``src/repro/tensor/ops.py`` and the ``tests/tensor`` corpus).
+  needs both ``src/repro/tensor/ops.py`` and the ``tests/tensor`` corpus);
+* :meth:`Rule.check_graph` — interprocedural checks over the call graph
+  (RL003, RL005, RL008, RL009).
 
-Suppression is explicit and greppable: an inline pragma
-
-``# replint: allow RL001 -- <why this site is deliberate>``
-
-allows the named rule(s) on that line, and ``# replint: skip-file`` skips a
-whole file.  The pragma *is* the allowlist mechanism the dtype rule's
-"deliberate f64 accumulation boundary" sites use; anything that predates
-the linter and is neither fixed nor pragma'd lives in the checked-in
-baseline (see :mod:`repro.analysis.lint`) so CI fails only on regressions.
+There is no suppression mechanism: every finding fails the run, and a
+false positive is fixed in the rule.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-#: Matches the suppression pragma anywhere in a source line's trailing
-#: comment.  Rule ids are captured as a comma/space separated list.
-_PRAGMA_RE = re.compile(r"#\s*replint:\s*allow\s+((?:RL\d{3}[,\s]*)+)")
-_SKIP_FILE_RE = re.compile(r"#\s*replint:\s*skip-file")
-_RULE_ID_RE = re.compile(r"RL\d{3}")
+from typing import Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
 class Finding:
     """One rule violation, anchored to a source line.
 
-    The identity used by the regression baseline is ``(rule, path, text)``
-    — the *stripped line text* rather than the line number, so unrelated
-    edits that shift lines neither hide old findings nor invent new ones.
+    :attr:`key` is ``(rule, path, text)`` — the *stripped line text*
+    rather than the line number — so code scanning, which tracks results
+    by it (SARIF ``partialFingerprints``), follows a finding across
+    edits that only shift lines.
     """
 
     rule: str
@@ -60,8 +49,7 @@ class Finding:
 class SourceFile:
     """A parsed source file handed to every rule.
 
-    Parsing happens once per file; rules share the tree, the raw lines and
-    the pre-extracted pragma map.
+    Parsing happens once per file; rules share the tree and the raw lines.
     """
 
     def __init__(self, path: Path, rel: str, text: str):
@@ -70,25 +58,11 @@ class SourceFile:
         self.text = text
         self.lines: List[str] = text.splitlines()
         self.tree: ast.AST = ast.parse(text, filename=str(path))
-        self.skip_all: bool = bool(_SKIP_FILE_RE.search(text))
-        #: line number -> set of rule ids allowed on that line
-        self.allowed: Dict[int, Set[str]] = {}
-        for lineno, line in enumerate(self.lines, start=1):
-            match = _PRAGMA_RE.search(line)
-            # A backtick immediately before the ``#`` is documentation
-            # quoting the pragma syntax, not a pragma (``--check-pragmas``
-            # would otherwise flag every docstring that explains it).
-            if match and not (match.start() > 0
-                              and line[match.start() - 1] == "`"):
-                self.allowed[lineno] = set(_RULE_ID_RE.findall(match.group(1)))
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-    def is_allowed(self, rule_id: str, lineno: int) -> bool:
-        return self.skip_all or rule_id in self.allowed.get(lineno, ())
 
 
 class Rule:
@@ -117,14 +91,6 @@ class Rule:
         col = getattr(node, "col_offset", 0)
         return Finding(rule=self.id, path=src.rel, line=lineno, col=col,
                        message=message, text=src.line_text(lineno))
-
-
-def is_np_attr(node: ast.AST, names: Tuple[str, ...]) -> bool:
-    """True for ``np.<name>`` / ``numpy.<name>`` attribute references."""
-    return (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in ("np", "numpy")
-            and node.attr in names)
 
 
 def call_name(node: ast.Call) -> Optional[str]:

@@ -24,7 +24,6 @@ function), *or to a project helper that bottoms out in one*, taints every
 use of that name in nested closures — wrapping the allocation in a
 ``_take_scratch()`` helper no longer hides the retention.  Resolution and
 the taint fixpoint live in :mod:`repro.analysis.callgraph`.
-False positives are suppressed with ``# replint: allow RL005 -- <why>``.
 """
 
 from __future__ import annotations

@@ -1,31 +1,25 @@
-"""RL006 — comm-segment discipline for data-parallel gradient exchange.
+"""RL006 — comm-lane writes happen only inside a reduce window.
 
 The shared-memory lanes of ``repro/tensor/_comm.py`` are written by
 several processes under a protocol barrier: a lane is touched only
 between a worker receiving its step token and sending "done" (and by the
 coordinator only between collecting every "done" and releasing the
-workers).  The code marks that discipline with the
-``@reduce_window`` decorator, and the determinism contract additionally
-requires every accumulating store to run in ``ACCUM_DTYPE`` (float64),
-so a float32 run reduces in exactly the arithmetic the parity tests pin.
+workers).  The code marks that discipline with the ``@reduce_window``
+decorator.
 
-This rule enforces the static half of both guarantees, in files that are
-comm modules (path contains ``repro/tensor/_comm``) or that reference
-``reduce_window``:
-
-* **Placement** — stores whose target names comm storage (the base
-  expression mentions ``lane``/``segment``/``_seg``/``shm``) must be
-  lexically inside a ``@reduce_window``-decorated function.  Covered
-  shapes: subscript assignment, augmented assignment, ``.fill(...)``,
-  ``np.copyto(target, ...)`` and ufunc ``out=target``.
-* **Accumulation dtype** — inside a reduce window, every call carrying
-  ``out=`` must also pass ``dtype=ACCUM_DTYPE``; without the explicit
-  cast-up a float32 gradient would be accumulated at compute precision
-  and the serial/multi-process bitwise parity breaks silently.
+This rule enforces the placement half statically, in files that are comm
+modules (path contains ``repro/tensor/_comm``) or that reference
+``reduce_window``: stores whose target names comm storage (the base
+expression mentions ``lane``/``segment``/``_seg``/``shm``) must be
+lexically inside a ``@reduce_window``-decorated function.  Covered
+shapes: subscript assignment, augmented assignment, ``.fill(...)``,
+``np.copyto(target, ...)`` and ufunc ``out=target``.  A writer with the
+decorator removed still passes every parity test when run serially, so
+no tier-1 test holds this.  (The accumulation dtype inside a window is
+pinned by ``test_write_lane_forms_weighted_grad_in_float64``.)
 
 Reads are never flagged, and ``out=`` on ordinary local arrays outside a
-window is out of scope (RL004 polices tensor storage).  Deliberate
-exceptions carry ``# replint: allow RL006 -- <why>``.
+window is out of scope.
 """
 
 from __future__ import annotations
@@ -72,20 +66,9 @@ def _is_segment_target(node: ast.AST) -> bool:
     return text is not None and any(m in text for m in _SEGMENT_MARKERS)
 
 
-def _dtype_is_accum(node: ast.Call) -> bool:
-    for kw in node.keywords:
-        if kw.arg == "dtype":
-            try:
-                text = ast.unparse(kw.value)
-            except Exception:  # pragma: no cover
-                return False
-            return text == "ACCUM_DTYPE" or text.endswith(".ACCUM_DTYPE")
-    return False
-
-
 class CommReductionRule(Rule):
     id = "RL006"
-    title = "comm-segment write outside reduce window / non-f64 accumulation"
+    title = "comm-segment write outside a reduce window"
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
         if ("repro/tensor/_comm" not in src.rel
@@ -131,19 +114,10 @@ class CommReductionRule(Rule):
             yield self._placement(src, node, node.args[0],
                                   "np.copyto into")
         for kw in node.keywords:
-            if kw.arg != "out":
-                continue
-            if _is_segment_target(kw.value) and not in_window:
+            if (kw.arg == "out" and _is_segment_target(kw.value)
+                    and not in_window):
                 yield self._placement(src, node, kw.value,
                                       "out= targeting")
-            if in_window and not _dtype_is_accum(node):
-                yield self.finding(
-                    src, node,
-                    "accumulating call with out= inside a reduce window "
-                    "lacks dtype=ACCUM_DTYPE — without the explicit "
-                    "float64 cast-up a float32 run reduces at compute "
-                    "precision and serial/multi-process bitwise parity "
-                    "breaks")
 
     def _placement(self, src: SourceFile, node: ast.AST,
                    target: ast.AST, verb: str) -> Finding:
@@ -153,5 +127,4 @@ class CommReductionRule(Rule):
             f"{verb} '{name}' outside a @reduce_window function — "
             f"process-shared comm storage may only be written inside the "
             f"barrier-guarded reduce window (wrap the writer in "
-            f"@reduce_window, or pragma a sanctioned site with the "
-            f"reason)")
+            f"@reduce_window)")

@@ -24,7 +24,7 @@ Flagged shapes, per function:
 
 ``sorted(S)`` launders the order and is always sanctioned; iteration
 whose effects stay order-free (membership counting, max/sum) is not
-flagged.  Suppression: ``# replint: allow RL009 -- <why>``.
+flagged.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ in-code per class::
         _DISPATCHER_OWNED = ("_cache", "_cursor")
 
 so the contract lives next to the state it covers and the linter reads
-it from the AST.  Suppression: ``# replint: allow RL008 -- <why>``.
+it from the AST.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ is the interchange format code-scanning UIs ingest (GitHub code scanning
 uploads it via ``codeql-action/upload-sarif``).  :func:`sarif_report`
 renders a :class:`~repro.analysis.lint.LintReport` as one SARIF run —
 tool metadata, one ``reportingDescriptor`` per rule, one ``result`` per
-finding — without touching the plain-text output or the
-``(rule, path, line-text)`` baseline identity, which stay the formats CI
-diffs against.
+finding — without touching the plain-text output.  Each result carries
+the finding's ``(rule, path, line-text)`` key as a partial fingerprint.
 
 Because the container has no network, :data:`SARIF_SUBSET_SCHEMA` vendors
 the load-bearing subset of the official 2.1.0 JSON schema (required
@@ -172,8 +171,8 @@ def sarif_report(report: LintReport, rules: Sequence[Rule],
                     },
                 },
             }],
-            # mirror the baseline identity so scanning UIs track the
-            # finding across line-shifting edits, like the baseline does
+            # the line-number-free finding key, so scanning UIs track
+            # the finding across edits that only shift lines
             "partialFingerprints": {
                 "replintKey/v1": "|".join(finding.key),
             },

@@ -53,7 +53,7 @@ class Graph:
             # compute-dtype policy decides which one a trainer wants);
             # anything else (ints, bools) is promoted to float64.
             self.x = (x if x.dtype in (np.float32, np.float64)
-                      else x.astype(np.float64))  # replint: allow RL001 -- load-boundary promotion of int/bool features
+                      else x.astype(np.float64))  # load-boundary promotion of int/bool features
         self.y = None if y is None else np.asarray(y)
 
         if num_nodes is None:
@@ -71,13 +71,13 @@ class Graph:
             raise ValueError(f"x has {self.x.shape[0]} rows for {self.num_nodes} nodes")
 
         if edge_weight is None:
-            self.edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # replint: allow RL001 -- structural edge weights are float64 by convention
+            self.edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # structural edge weights are float64 by convention
         else:
             edge_weight = np.asarray(edge_weight)
             self.edge_weight = (edge_weight
                                 if edge_weight.dtype in (np.float32,
                                                          np.float64)
-                                else edge_weight.astype(np.float64))  # replint: allow RL001 -- load-boundary promotion of int weights
+                                else edge_weight.astype(np.float64))  # load-boundary promotion of int weights
             if self.edge_weight.shape != (edge_index.shape[1],):
                 raise ValueError("edge_weight must have one entry per edge")
 
@@ -95,7 +95,7 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Out-degree of each node (equals in-degree for undirected graphs)."""
-        return np.bincount(self.edge_index[0], minlength=self.num_nodes).astype(np.float64)  # replint: allow RL001 -- detached structural counts
+        return np.bincount(self.edge_index[0], minlength=self.num_nodes).astype(np.float64)  # detached structural counts
 
     def __repr__(self) -> str:
         return (f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges}, "

@@ -114,7 +114,7 @@ def row_normalize_features(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     if x.dtype not in (np.float32, np.float64):
         # One-time load-boundary promotion of integer/bool bag-of-words
         # counts; not a policy decision, loaders re-cast downstream.
-        x = x.astype(np.float64)  # replint: allow RL001 -- load-boundary promotion of non-float input
+        x = x.astype(np.float64)
     # Row sums accumulate in ACCUM_DTYPE; the result keeps the input's dtype.
     sums = np.abs(x).sum(axis=1, keepdims=True, dtype=ACCUM_DTYPE)
     return (x / np.maximum(sums, eps)).astype(x.dtype, copy=False)

@@ -84,7 +84,7 @@ class GNNEncoder(Module):
         if self.kind not in _ROW_PRUNABLE:
             return None
         if edge_weight is None:
-            edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # replint: allow RL001 -- structural edge weights are float64 by convention
+            edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # structural edge weights are float64 by convention
         if self.kind in _NEEDS_NORMALIZATION:
             edge_index, edge_weight = normalize_edges(edge_index, edge_weight,
                                                       num_nodes)
@@ -108,7 +108,7 @@ class GNNEncoder(Module):
             return self._forward_planned(x, plan)
         n = x.shape[0]
         if edge_weight is None:
-            edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # replint: allow RL001 -- structural edge weights are float64 by convention
+            edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # structural edge weights are float64 by convention
         if self.kind in _NEEDS_NORMALIZATION:
             edge_index, edge_weight = normalize_edges(edge_index, edge_weight,
                                                       n)
@@ -214,7 +214,7 @@ class GraphUNet(Module):
                 edge_weight: Optional[np.ndarray] = None) -> Tensor:
         n = x.shape[0]
         if edge_weight is None:
-            edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # replint: allow RL001 -- structural edge weights are float64 by convention
+            edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # structural edge weights are float64 by convention
         batch = np.zeros(n, dtype=np.int64)
 
         norm_e, norm_w = normalize_edges(edge_index, edge_weight, n)

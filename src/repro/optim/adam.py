@@ -29,7 +29,7 @@ class FlatParams:
 
     It lives in ``repro/optim`` deliberately: loading broadcast weights
     writes parameter storage in place, and the optimizer package is the
-    one sanctioned location for that (RL004) — at load time the previous
+    one sanctioned location for that — at load time the previous
     step's backward has already consumed the tape, so no closure holds
     the buffer.
 

@@ -39,9 +39,13 @@ class TopKPooling(Module):
             init.glorot_uniform(rng, in_features, 1, shape=(in_features,)))
 
     def scores(self, x: Tensor) -> Tensor:
-        """Projection scores ``x·p / ‖p‖`` (pre-gate)."""
-        norm = float(np.linalg.norm(self.projection.data)) or 1.0
-        return (x * self.projection).sum(axis=-1) * (1.0 / norm)
+        """Projection scores ``x·p / ‖p‖`` (pre-gate).
+
+        ‖p‖ stays in the autograd graph, as in Graph U-Nets and PyG's
+        ``TopKPooling``, so p's gradient carries the −(x·p)p/‖p‖³ term.
+        """
+        p = self.projection
+        return (x * p).sum(axis=-1) / (p * p).sum() ** 0.5
 
     def forward(self, x: Tensor, edge_index: np.ndarray,
                 edge_weight: np.ndarray, batch: np.ndarray,

@@ -12,7 +12,3 @@ def consume_locally(shape, dtype):
     buf = ws_empty(shape, dtype)
     return float(buf.sum())
 
-
-def documented_alias(shape, dtype):
-    buf = ws_empty(shape, dtype)
-    return buf  # replint: allow RL003 -- fixture: documented slot-alias contract

@@ -1,4 +1,4 @@
-"""RL006 fixture: comm-segment discipline violations — 6 findings."""
+"""RL006 fixture: comm-segment writes outside a reduce window — 4 findings."""
 
 import numpy as np
 
@@ -21,13 +21,3 @@ def leak_fill(segment):
 def leak_out(lane, grad, weight):
     np.multiply(grad, weight, out=lane)
 
-
-@reduce_window
-def sloppy_reduce(lanes, out):
-    # Inside the window, but accumulating without the float64 cast-up.
-    np.add(out, lanes[0], out=out)
-
-
-@reduce_window
-def wrong_dtype(lanes, out):
-    np.add(out, lanes[1], out=out, dtype=np.float32)

@@ -41,6 +41,3 @@ def indexed_by_lane_id(buf, lane_idx, value):
     # The marker must match the *base* expression, not the index.
     buf[lane_idx] = value
 
-
-def pragma_site(segment, values):
-    segment[:] = values  # replint: allow RL006 -- fixture: one-time owner initialisation

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint
-from repro.analysis.rules import DtypeLiteralRule, default_rules
+from repro.analysis.rules import CommReductionRule, default_rules
 from repro.analysis.sarif import (SARIF_SUBSET_SCHEMA, SarifValidationError,
                                   _structural_validate, sarif_report,
                                   validate_sarif)
@@ -21,8 +21,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _report():
-    return lint.lint_paths([FIXTURES / "rl001_bad.py"],
-                           rules=[DtypeLiteralRule()], root=FIXTURES)
+    return lint.lint_paths([FIXTURES / "rl006_bad.py"],
+                           rules=[CommReductionRule()], root=FIXTURES)
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +47,13 @@ def test_sarif_payload_structure():
         assert region["startLine"] >= 1
         assert region["startColumn"] >= 1          # SARIF is 1-based
         assert loc["physicalLocation"]["artifactLocation"]["uri"] \
-            == "rl001_bad.py"
+            == "rl006_bad.py"
     # ruleIndex points back into the descriptor array
     result = run["results"][0]
     assert driver["rules"][result["ruleIndex"]]["id"] == result["ruleId"]
 
 
-def test_sarif_fingerprint_mirrors_baseline_identity():
+def test_sarif_fingerprint_is_the_finding_key():
     report = _report()
     payload = sarif_report(report, default_rules())
     keys = {r["partialFingerprints"]["replintKey/v1"]
@@ -115,38 +115,20 @@ def _run_cli(*args):
 
 def test_cli_sarif_flag_writes_valid_log(tmp_path):
     out = tmp_path / "replint.sarif"
-    proc = _run_cli(str(FIXTURES / "rl001_bad.py"), "--no-baseline",
-                    "--sarif", str(out))
+    proc = _run_cli(str(FIXTURES / "rl006_bad.py"), "--sarif", str(out))
     assert proc.returncode == 1          # bad fixture: findings present
     payload = json.loads(out.read_text())
     validate_sarif(payload)
     assert payload["runs"][0]["results"]
 
 
-def test_cli_check_pragmas_fails_on_stale(tmp_path):
-    path = tmp_path / "stale.py"
-    path.write_text("x = 1  # replint: allow RL003 -- nothing here\n")
-    proc = _run_cli(str(path), "--no-baseline", "--check-pragmas")
-    assert proc.returncode == 1
-    assert "stale pragma" in proc.stdout
-
-
-def test_cli_check_pragmas_passes_clean_tree(src_tree_lint, monkeypatch,
-                                            capsys):
+def test_cli_passes_clean_tree(src_tree_lint, monkeypatch, capsys):
     # In process, on the shared whole-tree lint fixture rather than a
     # second full lint; CI's replint job runs the real CLI end to end.
     from tools.replint import __main__ as cli
     monkeypatch.setattr(cli.lint, "lint_paths",
                         lambda *args, **kwargs: src_tree_lint.report)
-    monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-    assert cli.main(["src/repro", "--check-pragmas"]) == 0, \
-        capsys.readouterr().out
-
-
-def test_cli_check_pragmas_rejects_rule_subset():
-    proc = _run_cli("src/repro", "--check-pragmas", "--rules", "RL001")
-    assert proc.returncode != 0
-    assert "full rule set" in proc.stderr
+    assert cli.main(["src/repro"]) == 0, capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -217,3 +217,18 @@ class TestNodeServing:
         assert (first == reference).all()
         assert (second == reference).all()
         assert predictor.stats()["arenas"] == 1
+
+    def test_predict_nodes_float32_matches_forward(self, two_cliques_graph):
+        # Serving at float32 runs the forward in float32 end to end: the
+        # output keeps the model's dtype and its bits.
+        model = AdamGNNNodeClassifier(4, 2, hidden=8, num_levels=2,
+                                      rng=np.random.default_rng(0))
+        model.astype("float32").eval()
+        x = two_cliques_graph.x
+        edges = two_cliques_graph.edge_index
+        with default_dtype("float32"):
+            reference = model(Tensor(x, dtype=np.float32), edges,
+                              None)[0].data
+        out = Predictor(model).predict_nodes(x, edges)
+        assert out.dtype == np.float32
+        assert (out == reference).all()

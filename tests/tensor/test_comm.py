@@ -81,7 +81,7 @@ def test_reduce_lanes_skips_zero_weight_lanes_entirely():
     write_lane(lanes[0], [np.ones(4)], [4], 2.0)
     # Garbage in a sat-out lane (stale double-buffer slot) must not leak:
     # weight zero means the reducer never reads the grad span.
-    lanes[1, :-1] = np.nan  # replint: allow RL006 -- test: forge a stale lane
+    lanes[1, :-1] = np.nan
     lanes[1, -1] = 0.0
     write_lane(lanes[2], [np.ones(4)], [4], 1.0)
     out = np.empty(4, dtype=ACCUM_DTYPE)

@@ -61,3 +61,34 @@ def test_float32_matches_float64_accuracy(dataset):
     assert abs(r32.val_accuracy - r64.val_accuracy) <= 0.2
     assert abs(r32.test_accuracy - r64.test_accuracy) <= 0.2
 
+
+
+def test_link_prediction_forward_runs_in_config_dtype():
+    """The link trainer hands the model its features at the configured
+    dtype, so a float32 fit never runs a float64 forward."""
+    from repro.core import AdamGNNLinkPredictor
+    from repro.datasets import (NodeDataset, SBMConfig, generate_sbm_graph,
+                                split_links, split_nodes)
+    from repro.training import LinkPredictionTrainer
+    cfg = SBMConfig(num_nodes=60, num_classes=2, communities_per_class=1,
+                    subs_per_community=1, p_sub=0.3, p_comm=0.3,
+                    p_class=0.3, p_out=0.01, num_features=12,
+                    words_per_node=6, topic_noise=0.2)
+    graph = generate_sbm_graph(cfg, seed=0)
+    dataset = NodeDataset("tiny", graph, 2, split_nodes(
+        graph.num_nodes, np.random.default_rng(0)))
+    splits = split_links(graph, np.random.default_rng(0))
+    model = AdamGNNLinkPredictor(12, hidden=8, num_levels=2,
+                                 rng=np.random.default_rng(0))
+    seen = []
+    forward = model.forward
+
+    def recording_forward(x, *args, **kwargs):
+        seen.append(x.data.dtype)
+        return forward(x, *args, **kwargs)
+
+    model.forward = recording_forward
+    LinkPredictionTrainer(TrainConfig(epochs=1, patience=1, seed=0,
+                                      dtype="float32")).fit(
+        model, dataset, splits)
+    assert seen and set(seen) == {np.dtype(np.float32)}

@@ -2,27 +2,18 @@
 
 Examples::
 
-    python -m tools.replint src/repro                 # lint vs baseline
-    python -m tools.replint src/repro --no-baseline   # absolute mode
-    python -m tools.replint src/repro --write-baseline
-    python -m tools.replint src/repro --rules RL001,RL004
+    python -m tools.replint src/repro
     python -m tools.replint src/repro --sarif replint.sarif
-    python -m tools.replint src/repro --check-pragmas
 
-Exit status: 0 when no *new* findings relative to the baseline (or no
-findings at all in ``--no-baseline`` mode), 1 otherwise (including stale
-pragmas under ``--check-pragmas``), 2 on unparseable files.  When
-``$GITHUB_STEP_SUMMARY`` is set, per-rule hit counts are appended there
-as a Markdown table.  ``--sarif PATH`` additionally writes the full
-finding set (not just baseline regressions) as a SARIF 2.1.0 log for
-code-scanning upload.
+Exit status: 0 when there are no findings, 1 otherwise, 2 on unparseable
+files.  ``--sarif PATH`` also writes the findings as a SARIF 2.1.0 log
+for code-scanning upload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,121 +23,31 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.analysis import lint  # noqa: E402  (path bootstrap above)
 from repro.analysis.rules import default_rules  # noqa: E402
 
-DEFAULT_BASELINE = ROOT / "replint_baseline.json"
-
-
-def _select_rules(spec):
-    rules = default_rules()
-    if not spec:
-        return rules
-    wanted = {token.strip().upper() for token in spec.split(",") if token.strip()}
-    known = {rule.id for rule in rules}
-    unknown = wanted - known
-    if unknown:
-        raise SystemExit(f"replint: unknown rule id(s): {', '.join(sorted(unknown))} "
-                         f"(known: {', '.join(sorted(known))})")
-    return [rule for rule in rules if rule.id in wanted]
-
-
-def _write_step_summary(report, fresh, baseline_used):
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not summary_path:
-        return
-    lines = ["### replint", "", "| rule | hits | new |", "|---|---|---|"]
-    fresh_counts = {}
-    for finding in fresh:
-        fresh_counts[finding.rule] = fresh_counts.get(finding.rule, 0) + 1
-    for rule_id, count in report.counts().items():
-        lines.append(f"| {rule_id} | {count} | {fresh_counts.get(rule_id, 0)} |")
-    if not report.findings:
-        lines.append("| — | 0 | 0 |")
-    lines.append("")
-    lines.append(f"baseline: {'used' if baseline_used else 'none'} · "
-                 f"{len(fresh)} new finding(s)")
-    with open(summary_path, "a") as fh:
-        fh.write("\n".join(lines) + "\n")
-
 
 def main(argv=None) -> int:
+    rules = default_rules()
     parser = argparse.ArgumentParser(
         prog="python -m tools.replint",
         description="Static invariant checker for the repro autograd/kernel "
-                    "stack (rules RL001-RL009).")
+                    f"stack (rules {', '.join(rule.id for rule in rules)}).")
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to lint "
                              "(default: src/repro)")
-    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
-                        help="baseline JSON of accepted findings "
-                             "(default: replint_baseline.json at repo root)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline; every finding fails")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept the current findings: write them to "
-                             "the baseline file and exit 0")
-    parser.add_argument("--rules", default=None, metavar="RL00X,RL00Y",
-                        help="comma-separated rule subset to run")
     parser.add_argument("--sarif", type=Path, default=None, metavar="PATH",
                         help="also write findings as a SARIF 2.1.0 log")
-    parser.add_argument("--check-pragmas", action="store_true",
-                        help="fail on '# replint: allow' pragmas that no "
-                             "longer suppress any finding")
-    parser.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress per-finding lines (counts only)")
     args = parser.parse_args(argv)
 
-    if args.check_pragmas and args.rules:
-        raise SystemExit("replint: --check-pragmas needs the full rule set "
-                         "(a subset run would call other rules' pragmas "
-                         "stale); drop --rules")
-
     paths = args.paths or [str(ROOT / "src" / "repro")]
-    rules = _select_rules(args.rules)
     report = lint.lint_paths(paths, rules=rules, root=ROOT)
 
     for rel, message in report.parse_errors:
         print(f"{rel}: parse error: {message}", file=sys.stderr)
-
-    if args.write_baseline:
-        lint.write_baseline(report, args.baseline)
-        print(f"replint: wrote {len(report.findings)} finding(s) to "
-              f"{args.baseline}")
-        return 0 if not report.parse_errors else 2
-
-    baseline_used = False
-    if not args.no_baseline and args.baseline.exists():
-        baseline = lint.load_baseline(args.baseline)
-        baseline_used = True
-        fresh = lint.regressions_against(report, baseline)
-        fixed = lint.fixed_entries(report, baseline)
-    else:
-        fresh = list(report.findings)
-        fixed = []
-
-    if not args.quiet:
-        for finding in fresh:
-            print(finding.format())
-
-    counts = report.counts()
-    total = len(report.findings)
-    summary = ", ".join(f"{rule_id}: {count}" for rule_id, count in counts.items()) \
-        or "no findings"
-    print(f"replint: {total} finding(s) ({summary}); "
-          f"{len(fresh)} new vs baseline" if baseline_used
-          else f"replint: {total} finding(s) ({summary})")
-    if fixed and not args.quiet:
-        print(f"replint: {len(fixed)} baseline entr{'y' if len(fixed) == 1 else 'ies'} "
-              f"no longer present — regenerate with --write-baseline to shrink:")
-        for rule_id, rel, text in fixed:
-            print(f"  [{rule_id}] {rel}: {text}")
-
-    stale = []
-    if args.check_pragmas:
-        stale = lint.stale_pragmas(report, rules)
-        for pragma in stale:
-            print(pragma.format())
-        if stale:
-            print(f"replint: {len(stale)} stale pragma(s) — delete them "
-                  f"or fix the rule ids they name")
+    for finding in report.findings:
+        print(finding.format())
+    summary = ", ".join(f"{rule_id}: {count}"
+                        for rule_id, count in report.counts().items())
+    print(f"replint: {len(report.findings)} finding(s) "
+          f"({summary or 'no findings'})")
 
     if args.sarif is not None:
         from repro.analysis import sarif as sarif_mod
@@ -154,15 +55,12 @@ def main(argv=None) -> int:
         sarif_mod.validate_sarif(payload)
         args.sarif.parent.mkdir(parents=True, exist_ok=True)
         args.sarif.write_text(json.dumps(payload, indent=2) + "\n")
-        if not args.quiet:
-            print(f"replint: wrote SARIF log ({len(report.findings)} "
-                  f"result(s)) to {args.sarif}")
-
-    _write_step_summary(report, fresh, baseline_used)
+        print(f"replint: wrote SARIF log ({len(report.findings)} "
+              f"result(s)) to {args.sarif}")
 
     if report.parse_errors:
         return 2
-    return 1 if fresh or stale else 0
+    return 1 if report.findings else 0
 
 
 if __name__ == "__main__":
