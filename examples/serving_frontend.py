@@ -45,7 +45,7 @@ def main() -> None:
 
         # A second identical burst: the same request compositions collate
         # to the same cached chunks, whose batch objects replay their
-        # captured workspace plans — no new allocations.
+        # captured structure plans — nothing new is captured.
         for handle in [server.submit(int(g), deadline_ms=1000.0)
                        for g in eval_ids]:
             handle.result(timeout=30.0)
@@ -55,13 +55,14 @@ def main() -> None:
           f"micro-batches (mean size {stats['mean_batch_size']:.1f})")
     enzymes = sum(r.label for r in results)
     print(f"predicted enzyme for {enzymes}/{len(results)} graphs")
-    print(f"burst 1: {stats['arenas']['allocations']:.0f} arena buffer "
-          f"allocations, {stats['arenas']['structure_hits']:.0f} "
-          f"captured-plan replays")
-    print(f"burst 2: {replay['arenas']['allocations'] - stats['arenas']['allocations']:.0f} "
-          f"new allocations, "
-          f"{replay['arenas']['structure_hits'] - stats['arenas']['structure_hits']:.0f} "
-          f"captured-plan replays, "
+    arenas, again = stats["arenas"], replay["arenas"]
+    print(f"burst 1: {arenas['captured_structures']:.0f} structure stages "
+          f"captured, {arenas['structure_hits']:.0f} replayed")
+    print(f"burst 2: "
+          f"{again['captured_structures'] - arenas['captured_structures']:.0f}"
+          f" new stages captured, "
+          f"{again['structure_hits'] - arenas['structure_hits']:.0f} "
+          f"replayed, "
           f"{replay['collation']['hits'] - stats['collation']['hits']:.0f} "
           f"collation cache hits")
 

@@ -21,7 +21,7 @@ Subpackages
 ``repro.training``
     Trainers, metrics and the experiment runner behind every benchmark.
 ``repro.inference``
-    Grad-free serving engine (``Predictor``) with workspace buffer reuse.
+    Grad-free serving engine (``Predictor``) with structural plan capture.
 """
 
 from . import analysis, core, datasets, graph, inference, layers, models

@@ -7,9 +7,6 @@ for its bug class:
 
 ========  ==========================================================
 RL002     fused ops with custom VJPs lacking a gradcheck
-RL003     workspace arena buffers escaping their replay step
-RL005     backward closures / tape records retaining arena slots
-          across training-arena generations
 RL006     comm-lane writes outside a ``@reduce_window`` function
 RL008     off-dispatcher writes to the server's sole-writer caches
 RL009     set / ``id()``-dict iteration order reaching RNG draws,

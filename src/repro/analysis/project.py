@@ -132,7 +132,6 @@ class ProjectIndex:
                 for method in cls.methods.values():
                     self.functions[method.qualname] = method
         self._callgraph = None
-        self._taint_cache: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Indexing
@@ -266,12 +265,3 @@ class ProjectIndex:
             from .callgraph import CallGraph
             self._callgraph = CallGraph(self)
         return self._callgraph
-
-    def taint(self, sources: Tuple[str, ...]):
-        """Interprocedural taint engine seeded by calls to ``sources``
-        (cached per source tuple)."""
-        key = tuple(sorted(sources))
-        if key not in self._taint_cache:
-            from .callgraph import TaintAnalysis
-            self._taint_cache[key] = TaintAnalysis(self, key)
-        return self._taint_cache[key]

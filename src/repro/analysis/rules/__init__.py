@@ -13,18 +13,16 @@ from typing import List
 
 from .base import Finding, Rule, SourceFile
 from .vjp_registry import VJPRegistryRule
-from .arena_escape import ArenaEscapeRule
-from .closure_retention import ClosureRetentionRule
 from .comm_reduction import CommReductionRule
 from .sole_writer import SoleWriterRule
 from .nondet_iteration import NondetIterationRule
 
 __all__ = ["Finding", "Rule", "SourceFile", "VJPRegistryRule",
-           "ArenaEscapeRule", "ClosureRetentionRule", "CommReductionRule",
-           "SoleWriterRule", "NondetIterationRule", "default_rules"]
+           "CommReductionRule", "SoleWriterRule", "NondetIterationRule",
+           "default_rules"]
 
 
 def default_rules() -> List[Rule]:
     """Fresh instances of every shipped rule, in id order."""
-    return [VJPRegistryRule(), ArenaEscapeRule(), ClosureRetentionRule(),
-            CommReductionRule(), SoleWriterRule(), NondetIterationRule()]
+    return [VJPRegistryRule(), CommReductionRule(), SoleWriterRule(),
+            NondetIterationRule()]

@@ -7,7 +7,7 @@ A rule inspects Python source (as an ``ast`` tree plus raw lines) and emits
 * :meth:`Rule.check_project` — whole-repo cross-reference checks (RL002
   needs both ``src/repro/tensor/ops.py`` and the ``tests/tensor`` corpus);
 * :meth:`Rule.check_graph` — interprocedural checks over the call graph
-  (RL003, RL005, RL008, RL009).
+  (RL008, RL009).
 
 There is no suppression mechanism: every finding fails the run, and a
 false positive is fixed in the rule.
@@ -81,7 +81,7 @@ class Rule:
     def check_graph(self, project) -> Iterable[Finding]:
         """Interprocedural checks over the
         :class:`~repro.analysis.project.ProjectIndex` built once per lint
-        run (symbol table + call graph + taint engine)."""
+        run (symbol table + call graph)."""
         return ()
 
     # ------------------------------------------------------------------

@@ -7,9 +7,12 @@ a slightly worse model, which is the most expensive kind of bug to find.
 The repo's defence is the finite-difference gradcheck suite under
 ``tests/tensor/``; this rule makes the correspondence mechanical: every
 module-level public function in ``ops.py`` that (a) calls ``_make_child``
-and (b) defines a local ``backward`` must be *named* somewhere in the
-``tests/tensor`` corpus (word-boundary match, so ``relu`` does not satisfy
-``elu``).
+and (b) defines a local ``backward`` must be *named inside* a
+``check_gradients``/``assert_gradients_close`` call somewhere in the
+``tests/tensor`` corpus — as an argument or anywhere in a lambda passed to
+it.  A forward-only mention (a parity test, a docstring) does not count,
+and names are matched as identifiers, so ``relu`` does not satisfy
+``elu``.
 
 The rule is a project-level cross-reference: it runs once per lint
 invocation when the ops file is inside the linted tree (or the project
@@ -19,7 +22,6 @@ root is known), not per file.
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 from typing import Iterable, List, Set
 
@@ -27,6 +29,7 @@ from .base import Finding, Rule, SourceFile
 
 OPS_RELPATH = "src/repro/tensor/ops.py"
 TESTS_RELDIR = "tests/tensor"
+GRADCHECKS = frozenset({"check_gradients", "assert_gradients_close"})
 
 
 def fused_ops_with_custom_backward(tree: ast.AST) -> List[ast.FunctionDef]:
@@ -51,6 +54,26 @@ def fused_ops_with_custom_backward(tree: ast.AST) -> List[ast.FunctionDef]:
     return found
 
 
+def gradchecked_names(tree: ast.AST) -> Set[str]:
+    """Every identifier (name or attribute) inside a gradcheck call."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = (func.id if isinstance(func, ast.Name) else
+                  func.attr if isinstance(func, ast.Attribute) else None)
+        if callee not in GRADCHECKS:
+            continue
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            for sub in ast.walk(arg):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+    return names
+
+
 class VJPRegistryRule(Rule):
     id = "RL002"
     title = "fused op without a matching gradcheck in tests/tensor"
@@ -72,15 +95,15 @@ class VJPRegistryRule(Rule):
         if src is None:
             text = ops_path.read_text()
             src = SourceFile(ops_path, self.ops_relpath, text)
-        corpus = "\n".join(p.read_text()
-                           for p in sorted(tests_dir.glob("*.py")))
         covered: Set[str] = set()
+        for path in sorted(tests_dir.glob("*.py")):
+            covered |= gradchecked_names(ast.parse(path.read_text()))
         for node in fused_ops_with_custom_backward(src.tree):
-            if re.search(rf"\b{re.escape(node.name)}\b", corpus):
-                covered.add(node.name)
+            if node.name in covered:
                 continue
             yield self.finding(
                 src, node,
                 f"fused op '{node.name}' wires a custom backward through "
-                f"_make_child but is never named in {self.tests_reldir}/ — "
-                f"add a finite-difference gradcheck")
+                f"_make_child but no gradcheck call in "
+                f"{self.tests_reldir}/ names it — add a finite-difference "
+                f"gradcheck")

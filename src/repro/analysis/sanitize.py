@@ -1,6 +1,6 @@
 """Opt-in runtime sanitizers for the autograd/kernel stack.
 
-Three dynamic checks complement the static linter (``repro.analysis.lint``):
+Two dynamic checks complement the static linter (``repro.analysis.lint``):
 
 * **NaN/Inf detector** — every op result is checked at the
   ``Tensor._make_child`` choke point; a non-finite output raises
@@ -9,12 +9,6 @@ Three dynamic checks complement the static linter (``repro.analysis.lint``):
   instead of letting the NaN surface fifty ops later as a mysteriously
   flat loss.  The same hook asserts the dtype contract: float results must
   be policy-supported and operands must not silently mix float32/float64.
-* **Workspace poison sanitizer** — ``Workspace.begin`` (the generation
-  advance that releases every slot of the previous forward) fills all
-  float slots with NaN.  Kernels that fully overwrite their slots — the
-  arena contract — are unaffected; any read of a stale buffer retained
-  across a replay step produces NaN and is caught by the detector above,
-  with the generation counter in the report.
 * **Segment dtype contracts** — the public segment kernels validate their
   inputs via :func:`repro.tensor._sanitize_state.check_segment_inputs`.
 
@@ -23,12 +17,11 @@ Enabling: the :func:`sanitize` context manager, the
 ``REPRO_SANITIZE=1`` environment variable (honoured at ``import repro``
 time — this is what the sanitized CI job sets).
 
-Zero-cost-off guarantee: enabling *swaps in* wrapper functions
-(``Tensor._make_child``, ``Workspace.begin``) and disabling restores the
-original function objects — when off, the hot path runs the exact same
-code objects as a build without this module, which
-:func:`assert_unpatched` verifies and the sanitizer A/B benchmark section
-records.
+Zero-cost-off guarantee: enabling *swaps in* a wrapper for
+``Tensor._make_child`` and disabling restores the original function
+object — when off, the hot path runs the exact same code objects as a
+build without this module, which :func:`assert_unpatched` verifies and
+the sanitizer A/B benchmark section records.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ import numpy as np
 from ..tensor import _sanitize_state as _state
 from ..tensor.precision import SUPPORTED_DTYPES
 from ..tensor.tensor import Tensor
-from ..tensor.workspace import Workspace
 
 SanitizerError = _state.SanitizerError
 
@@ -51,7 +43,6 @@ __all__ = ["SanitizerError", "sanitize", "enable_sanitizer",
            "assert_unpatched", "env_requested"]
 
 _ORIG_MAKE_CHILD = Tensor._make_child
-_ORIG_BEGIN = Workspace.begin
 
 _depth = 0
 
@@ -105,21 +96,8 @@ def _sanitized_make_child(self, data, parents, backward):
         raise SanitizerError(
             f"non-finite values in the output of '{op}': {bad} of "
             f"{arr.size} elements (output shape={tuple(arr.shape)} "
-            f"dtype={arr.dtype}); {_operand_report(parents)}.  If a "
-            f"workspace arena is active this can also be a stale slot "
-            f"poisoned at the last generation advance.")
+            f"dtype={arr.dtype}); {_operand_report(parents)}")
     return out
-
-
-def _poisoning_begin(self) -> None:
-    # The cursor rewind releases every slot of the previous forward;
-    # poisoning them turns any use-after-advance read into a NaN the
-    # _make_child detector reports (kernels that honour the arena
-    # contract fully overwrite their slots and never see the poison).
-    for buf in self._buffers():
-        if buf.dtype.kind == "f":
-            buf.fill(np.nan)
-    _ORIG_BEGIN(self)
 
 
 def enable_sanitizer() -> None:
@@ -129,7 +107,6 @@ def enable_sanitizer() -> None:
     _depth += 1
     if _depth == 1:
         Tensor._make_child = _sanitized_make_child
-        Workspace.begin = _poisoning_begin
         _state.ENABLED = True
 
 
@@ -141,7 +118,6 @@ def disable_sanitizer() -> None:
     _depth -= 1
     if _depth == 0:
         Tensor._make_child = _ORIG_MAKE_CHILD
-        Workspace.begin = _ORIG_BEGIN
         _state.ENABLED = False
 
 
@@ -167,14 +143,12 @@ def sanitizer_paused() -> Iterator[None]:
     was_patched = _depth > 0
     if was_patched:
         Tensor._make_child = _ORIG_MAKE_CHILD
-        Workspace.begin = _ORIG_BEGIN
         _state.ENABLED = False
     try:
         yield
     finally:
         if was_patched:
             Tensor._make_child = _sanitized_make_child
-            Workspace.begin = _poisoning_begin
             _state.ENABLED = True
 
 
@@ -190,8 +164,6 @@ def assert_unpatched() -> None:
         raise AssertionError(
             "Tensor._make_child is still patched — sanitizer off-state "
             "would pay wrapper overhead")
-    if Workspace.begin is not _ORIG_BEGIN:
-        raise AssertionError("Workspace.begin is still patched")
     if _state.ENABLED:
         raise AssertionError("_sanitize_state.ENABLED left set")
 

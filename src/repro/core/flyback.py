@@ -19,7 +19,6 @@ from ..tensor.random import make_rng
 from ..nn import Linear, Module, Parameter, init
 from ..tensor import (Tensor, fast_kernels_enabled, leaky_relu,
                       leaky_relu_project, softmax, stack)
-from ..tensor import workspace as _ws
 
 
 def _weighted_combine(h0: Tensor, messages: Sequence[Tensor],
@@ -32,21 +31,9 @@ def _weighted_combine(h0: Tensor, messages: Sequence[Tensor],
     ``grad`` to ``H_0``, ``β_k·grad`` to message k, and the row-wise dot
     ``⟨grad, Ĥ_k⟩`` to row k of β.
     """
-    ws = _ws.active_workspace()
-    if ws is None:
-        out_data = h0.data.copy()
-    else:
-        out_data = ws.take(h0.data.shape, h0.data.dtype)
-        np.copyto(out_data, h0.data)
+    out_data = h0.data.copy()
     for k, message in enumerate(messages):
-        # The β-scaled message lands in a reusable scratch buffer (a plain
-        # temporary when no workspace is active) before the in-place add —
-        # same multiply, same add, bit for bit.
-        scaled = np.multiply(
-            message.data, beta.data[k][:, None],
-            out=_ws.ws_out(message.data.shape,
-                           np.result_type(message.data, beta.data)))
-        out_data += scaled
+        out_data += message.data * beta.data[k][:, None]
 
     def backward(grad: np.ndarray) -> None:
         if h0.requires_grad:

@@ -21,7 +21,6 @@ import numpy as np
 from ..graph import sorted_unique
 from ..tensor import (ACCUM_DTYPE, Tensor, clip, gather_rows, log, pair_dot,
                       sigmoid, square_norm)
-from ..tensor import workspace as _ws
 from ..nn.losses import binary_cross_entropy_with_logits
 
 
@@ -99,27 +98,20 @@ def self_optimisation_loss(h: Tensor, ego_ids: np.ndarray,
     ego_h = data[ego_ids]                                     # (m, d)
     node_sq = np.einsum("ij,ij->i", data, data)               # (n,)
     ego_sq = node_sq[ego_ids]                                 # (m,)
-    # The five (n, m) stages below are the loss's whole footprint; all of
-    # them (and the backward's gh) draw from the training arena when one
-    # is active, so a captured step runs this loss allocation-free.
-    m = ego_ids.shape[0]
-    raw = np.matmul(data, ego_h.T,
-                    out=_ws.ws_out((n, m), data.dtype))       # (n, m)
+    raw = np.matmul(data, ego_h.T)                            # (n, m)
     raw *= -2.0
     raw += node_sq[:, None]
     raw += ego_sq[None, :]
-    kernel = np.maximum(raw, 0.0,
-                        out=_ws.ws_out((n, m), raw.dtype))    # distances
+    kernel = np.maximum(raw, 0.0)                             # distances
     kernel *= 1.0 / mu
     kernel += 1.0
     np.reciprocal(kernel, out=kernel)                         # (1+d/μ)^{-1}
     denom = kernel.sum(axis=1, keepdims=True)                 # > 0 always
-    q = np.divide(kernel, denom,
-                  out=_ws.ws_out((n, m), kernel.dtype))
+    q = np.divide(kernel, denom)
     # Target distribution (Eq. 5) inlined so its intermediates feed the
     # loss identity below: p = (q²/g) / rowsum with g the soft frequency.
     freq = np.maximum(q.sum(axis=0, keepdims=True), 1e-12)    # (1, m)
-    p = np.multiply(q, q, out=_ws.ws_out((n, m), q.dtype))
+    p = np.multiply(q, q)
     p /= freq
     rowsum = np.maximum(p.sum(axis=1, keepdims=True), 1e-12)  # (n, 1)
     p /= rowsum
@@ -127,7 +119,7 @@ def self_optimisation_loss(h: Tensor, ego_ids: np.ndarray,
     # to 1), so a single (n, m) logarithm serves both KL terms:
     # Σ p log p − Σ p log q = Σ p log q − Σ_j colp_j log g_j − Σ_i log s_i.
     # q ≤ 1 by construction, so clip(q, 1e-12, 1) is just a lower floor.
-    log_q = np.maximum(q, 1e-12, out=_ws.ws_out((n, m), q.dtype))
+    log_q = np.maximum(q, 1e-12)
     np.log(log_q, out=log_q)
     # The three scalar KL reductions accumulate in ACCUM_DTYPE whatever the
     # compute dtype — thousands of small signed terms cancel here, and
@@ -164,8 +156,7 @@ def self_optimisation_loss(h: Tensor, ego_ids: np.ndarray,
         # raw_ij = |h_i|² + |e_j|² − 2·cross_ij.
         row_gd = gd.sum(axis=1)
         col_gd = gd.sum(axis=0)
-        gh = np.matmul(gd, ego_h,                             # via cross, h
-                       out=_ws.ws_out(data.shape, gd.dtype))
+        gh = np.matmul(gd, ego_h)                             # via cross, h
         gh *= -2.0
         gh += (2.0 * row_gd)[:, None] * data                  # via node_sq
         ge = gd.T @ data                                      # via cross, e
@@ -360,12 +351,12 @@ def _pair_bce_fused(h: Tensor, positives: np.ndarray,
         rp = ((sig_p - 1.0) * scale)[:, None]
         rn = (sig_n * scale)[:, None]
         p = pos_logits.shape[0]
-        vals = _ws.ws_empty((2 * p,) + data.shape[1:], rp.dtype)
+        vals = np.empty((2 * p,) + data.shape[1:], dtype=rp.dtype)
         np.multiply(rp, xpv, out=vals[:p])
         np.multiply(rp, xpu, out=vals[p:])
         gh = _plans.scatter_add_rows(vals, _pair_ids(positives), n)
         q = neg_logits.shape[0]
-        vals = _ws.ws_empty((2 * q,) + data.shape[1:], rn.dtype)
+        vals = np.empty((2 * q,) + data.shape[1:], dtype=rn.dtype)
         np.multiply(rn, xnv, out=vals[:q])
         np.multiply(rn, xnu, out=vals[q:])
         gh += _plans.scatter_add_rows(vals, _pair_ids(negatives), n)

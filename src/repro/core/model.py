@@ -194,7 +194,7 @@ class AdamGNN(Module):
                 # the same structure.
                 break
             # Purely structural given the level's connectivity, so a
-            # serving arena replays it with the captured edges; in
+            # serving replay reuses it with the captured edges; in
             # training the pooled weights move with the fitness and
             # this renormalises fresh every step.
             norm_e, norm_w = ws_captured(

@@ -70,7 +70,7 @@ class HyperNodeFeatures(Module):
     def _pair_structure(egos: EgoNetworks, assignment: Assignment):
         """``(pair_idx, members, cols, pair egos)`` of the selected pairs.
 
-        Pure topology given the selection outcome, so serving arenas
+        Pure topology given the selection outcome, so serving plans
         capture it (stable ``cols``/``pair_idx`` arrays also keep the
         identity-keyed segment plans hitting across replays).
         """
@@ -181,10 +181,10 @@ class AdaptiveGraphPooling(Module):
                 lambda: one_hop_neighbors(edge_index, n)))
         else:
             # Pooled-level structure: fresh every training step (it
-            # tracks the learned fitness — training arenas leave
-            # ws_captured as a passthrough), but captured by a serving
-            # arena — for a frozen model it is a pure function of the
-            # batch, so replays skip the sparse reachability products.
+            # tracks the learned fitness, and no workspace is active in
+            # grad mode), but captured by a serving plan — for a frozen
+            # model it is a pure function of the batch, so replays skip
+            # the sparse reachability products.
             egos = ws_captured(
                 lambda: build_ego_networks(edge_index, n,
                                            radius=self.radius))
@@ -199,14 +199,14 @@ class AdaptiveGraphPooling(Module):
                 (n, self.radius, self.fitness.num_relations), _relations))
         phi_pairs = self.fitness.pair_scores(h, egos, relations)
         # The selection outcome is the data-dependent control flow of
-        # the forward; a serving arena records it (with the assembled
+        # the forward; a serving plan records it (with the assembled
         # S_k and the per-node fitness diagnostic, neither of which
         # carries gradient for a frozen model) and replays the same
         # Assignment.  In training the selection moves with the
         # learned fitness every step — and the unpooling path
         # differentiates through ``assignment.values`` — so the stage
-        # runs fresh per step (training arenas pass ws_captured
-        # through).
+        # runs fresh per step (ws_captured is a passthrough in grad
+        # mode).
         def _select():
             phi_nodes = segment_mean(phi_pairs.reshape(-1, 1), egos.ego,
                                      egos.num_nodes).reshape(-1)

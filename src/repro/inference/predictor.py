@@ -1,24 +1,23 @@
 """The serving-side forward engine.
 
 A :class:`Predictor` owns everything a deployed model needs per request:
-the grad-mode switch, a workspace arena per served batch, and the
-structure pipeline that collates dataset chunks into cached
+the grad-mode switch, a captured structural plan per served batch, and
+the structure pipeline that collates dataset chunks into cached
 :class:`~repro.graph.GraphBatch` objects.
 
-Arena keying
-------------
-Workspace slots replay correctly only when the kernel-call sequence — and
-with it every intermediate shape — repeats exactly.  Shapes inside an
-AdamGNN forward depend on the *data* (ego selection keeps a
-batch-dependent number of hyper-nodes), not just on the batch's outer
-dimensions, so arenas are keyed by the identity of the batch object
-itself, with the entry pinning the batch so the key can never alias a
-recycled object (the same contract as every identity-keyed cache in this
-library).  Served batches are stable objects in practice: the
+Plan keying
+-----------
+A captured plan (see :mod:`repro.tensor.workspace`) replays correctly
+only for the batch it was recorded on: the coarsening hierarchy of an
+AdamGNN forward depends on the *data*, not just on the batch's outer
+dimensions.  Plans are therefore keyed by the identity of the batch
+object itself, with the entry pinning the batch so the key can never
+alias a recycled object (the same contract as every identity-keyed cache
+in this library).  Served batches are stable objects in practice: the
 :class:`~repro.core.DatasetStructures` pipeline returns the cached
-collation for a repeated chunk, which is what makes the steady state
-allocation-free.  A batch object never seen before simply pays one
-capture pass.
+collation for a repeated chunk, so a repeated batch replays its plan
+instead of rebuilding ego-networks, selection and connectivity.  A batch
+object never seen before simply pays one capture pass.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from ..nn import Module
 from ..tensor import (Tensor, Workspace, default_dtype, no_grad,
                       resolve_dtype, use_workspace)
 
-#: Default bound on live arenas; least-recently-served batches are dropped
-#: beyond it.  Each arena holds one forward's worth of intermediates, so
-#: this also bounds the engine's resident buffer memory.
+#: Default bound on live captured plans; least-recently-served batches are
+#: dropped beyond it.  Each plan pins its batch and that batch's coarsening
+#: hierarchy, so this also bounds the engine's resident plan memory.
 DEFAULT_MAX_ARENAS = 256
 
 
@@ -56,20 +55,19 @@ class Predictor:
         Serving precision.  Defaults to the model's own parameter dtype
         (i.e. whatever precision it was trained at).
     max_arenas:
-        LRU bound on per-batch workspace arenas.
+        LRU bound on per-batch captured structure plans.
 
     The model is switched to eval mode once at construction; every
-    forward runs under ``no_grad()`` and writes its intermediates into the
-    batch's arena.  Returned arrays are **copies** — arena slots are
-    recycled on the next forward.
+    forward runs under ``no_grad()`` and replays the batch's captured
+    plan.  Returned arrays are copies the caller owns.
 
-    **Frozen-model contract.**  Arenas capture not only buffer shapes but
-    the batch's coarsening plan (pooled-level ego-networks, the
-    ego-selection outcome, the detached connectivity product) — pure
-    functions of the batch while the weights stay fixed, recomputed by
-    every training-mode forward because there they track the moving
-    fitness scores.  If you mutate the model's parameters, call
-    :meth:`invalidate` so the plans are re-captured.
+    **Frozen-model contract.**  A plan records the batch's coarsening
+    hierarchy (pooled-level ego-networks, the ego-selection outcome, the
+    detached connectivity product) — pure functions of the batch while
+    the weights stay fixed, recomputed by every training-mode forward
+    because there they track the moving fitness scores.  If you mutate
+    the model's parameters, call :meth:`invalidate` so the plans are
+    re-captured.
     """
 
     def __init__(self, model: Module, dtype=None,
@@ -82,9 +80,9 @@ class Predictor:
         self.max_arenas = int(max_arenas)
         if self.max_arenas < 1:
             # At zero the LRU below would evict the entry it just
-            # inserted, un-pinning key objects whose Workspace is still in
-            # use — the exact recycled-id() aliasing hazard pinning exists
-            # to rule out.
+            # inserted, un-pinning key objects whose plan is still in use
+            # — the exact recycled-id() aliasing hazard pinning exists to
+            # rule out.
             raise ValueError(
                 f"max_arenas must be >= 1, got {max_arenas!r}")
         #: id(key objects) → (pinned key objects, Workspace)
@@ -100,7 +98,7 @@ class Predictor:
                                           DatasetStructures]] = {}
 
     # ------------------------------------------------------------------
-    # Arena management
+    # Plan management
     # ------------------------------------------------------------------
     def _arena_for(self, key_objects: Tuple[Any, ...]) -> Workspace:
         key = tuple(id(obj) for obj in key_objects)
@@ -108,7 +106,7 @@ class Predictor:
         if entry is not None:
             self._arenas.move_to_end(key)
             return entry[1]
-        workspace = Workspace(capture_structures=True)
+        workspace = Workspace()
         # Evict *before* inserting: popping after could (at max_arenas
         # bounds) drop the entry just created, whose workspace the caller
         # is about to run a forward in — pinned key objects must outlive
@@ -121,7 +119,7 @@ class Predictor:
         return workspace
 
     def invalidate(self) -> None:
-        """Drop every captured plan, buffer arena, and dataset structure.
+        """Drop every captured plan and dataset structure.
 
         Call after mutating the model's parameters (e.g. fine-tuning or
         an ``astype`` precision change): captured coarsening plans are
@@ -141,35 +139,25 @@ class Predictor:
     def release_dataset(self, dataset: Optional[GraphDataset] = None) -> None:
         """Drop the cached structures of ``dataset`` (all datasets when
         ``None``) so a retired dataset's graphs can be reclaimed without
-        touching the captured arenas of everything else."""
+        touching the captured plans of everything else."""
         if dataset is None:
             self._structures.clear()
         else:
             self._structures.pop(id(dataset), None)
 
     def stats(self) -> dict:
-        """Aggregate workspace counters across every live arena.
+        """Aggregate plan counters across every live captured plan.
 
-        ``allocations`` stops moving once every served batch has had its
-        capture pass — the steady-state zero-allocation property the
-        acceptance benchmark asserts.
+        On a repeated batch ``structure_hits`` grows while
+        ``captured_structures`` stays fixed: the forward replays its plan.
+        ``allocations`` is always 0 (nothing is recycled).
         """
-        arenas = [ws for _, ws in self._arenas.values()]
-        return {
-            "arenas": len(arenas),
-            "allocations": sum(ws.allocations for ws in arenas),
-            "hits": sum(ws.hits for ws in arenas),
-            "slots": sum(ws.num_slots for ws in arenas),
-            "nbytes": sum(ws.nbytes for ws in arenas),
-            "captured_structures": sum(
-                len(ws._plan) for ws in arenas),
-            "structure_hits": sum(ws.structure_hits for ws in arenas),
-        }
-
-    @property
-    def allocations(self) -> int:
-        """Total buffers ever allocated on behalf of this engine."""
-        return sum(ws.allocations for _, ws in self._arenas.values())
+        totals = {"arenas": len(self._arenas), "allocations": 0,
+                  "captured_structures": 0, "structure_hits": 0}
+        for _, workspace in self._arenas.values():
+            for key, value in workspace.stats().items():
+                totals[key] += value
+        return totals
 
     # ------------------------------------------------------------------
     # Graph classification
@@ -178,8 +166,8 @@ class Predictor:
                       structure=None) -> np.ndarray:
         """``(num_graphs, num_classes)`` logits for one collated batch.
 
-        The returned array is a copy; the forward's intermediates live in
-        the batch's arena and are recycled on its next serve.
+        The first serve of a batch captures its structural plan; every
+        later serve of the same batch object replays it.
         """
         workspace = self._arena_for((batch,) if structure is None
                                     else (batch, structure))
@@ -254,9 +242,9 @@ class Predictor:
         forward (node classification logits or link-prediction
         embeddings), as a copied array.
 
-        The arena is keyed by the identity of the input arrays — a
+        The plan is keyed by the identity of the input arrays — a
         full-batch serving loop reuses the same graph arrays each call,
-        which is exactly the steady state the workspace rewards.
+        so every call after the first replays the captured plan.
         """
         key = ((x, edge_index) if edge_weight is None
                else (x, edge_index, edge_weight))

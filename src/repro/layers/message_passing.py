@@ -16,7 +16,6 @@ import numpy as np
 from ..graph.blocks import MessageFlowBlock, canonical_csr
 from ..tensor import (Tensor, fast_kernels_enabled, gather_rows, segment_max,
                       segment_mean, segment_sum)
-from ..tensor import workspace as _ws
 from ..tensor._segment_plans import _array_key, _sptools
 
 #: Supported reduction names → segment reducers.
@@ -63,15 +62,14 @@ def _spmm(x: Tensor, indptr: np.ndarray, indices: np.ndarray,
 
     One sparse-dense product replaces the gather → weight → segment-sum
     chain, which materialised three ``(E, d)`` temporaries per call.  The
-    kernels are scipy's own, called on raw arrays into a zeroed (possibly
-    arena) buffer.  Backward reads the same arrays as CSC, which is
+    kernels are scipy's own, called on raw arrays into a zeroed buffer.  Backward reads the same arrays as CSC, which is
     ``Aᵀ``: every input row sums its terms in ascending output-row order,
     the order a row-sorted CSR of ``Aᵀ`` uses, so no transpose is built.
     """
     num_out = indptr.shape[0] - 1
     num_in, n_vecs = x.data.shape
     dense = np.ascontiguousarray(x.data)
-    out_data = _ws.ws_zeros((num_out, n_vecs), dense.dtype)
+    out_data = np.zeros((num_out, n_vecs), dtype=dense.dtype)
     _sptools.csr_matvecs(num_out, num_in, n_vecs, indptr, indices, data,
                          dense.ravel(), out_data.ravel())
 

@@ -8,7 +8,7 @@ control (:class:`Overloaded`), per-request deadlines
 (:class:`DeadlineExceeded`), a max-delay flush timer, and a draining
 ``close()`` make it safe to put in front of real traffic; ``stats()``
 exposes queue depth, batch-size histogram, shed/timeout counters, and the
-workers' aggregated arena counters.
+workers' aggregated plan-capture counters.
 
 Quickstart::
 

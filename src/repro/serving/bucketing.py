@@ -8,8 +8,8 @@ band serves two masters:
   arrays, and :class:`~repro.graph.cache.BatchStructureCache` keys on
   chunk *content* — so the fewer distinct chunk compositions a bucket can
   emit, the sooner every flush is a cache hit whose collated batch object
-  then replays its captured workspace plan in the
-  :class:`~repro.inference.Predictor` arena LRU.  Under load a bucket's
+  then replays its captured structure plan in the
+  :class:`~repro.inference.Predictor` plan LRU.  Under load a bucket's
   flush converges on "every member with a pending request", which for a
   bounded eval universe is a handful of recurring compositions.
 * **Padding-free batching without shape chaos.**  This substrate

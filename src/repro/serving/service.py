@@ -42,9 +42,9 @@ Collation goes through one shared :class:`~repro.core.DatasetStructures`
 ``(GraphBatch, BatchStructure)`` object pair a direct
 ``Predictor.predict_batch`` call on that chunk would see — logits are
 bitwise identical by construction, and the content-keyed collation cache
-plus per-(batch, structure) arena LRU keep the steady state
-allocation-free.  Each worker owns a private Predictor (arenas are
-single-threaded); the grad-mode/dtype/workspace contexts are thread-local
+plus the per-(batch, structure) plan LRU let a recurring batch replay its
+captured coarsening plan.  Each worker owns a private Predictor (plans
+are single-threaded); the grad-mode/dtype/workspace contexts are thread-local
 (see ``tensor/_grad_mode.py``), so worker forwards never leak serving
 state into each other or into a training loop on the main thread.
 """
@@ -136,7 +136,7 @@ class ServingConfig:
     node_band / edge_band:
         Bucket quantisation, see :class:`SizeBucketPolicy`.
     max_arenas:
-        Per-worker Predictor arena LRU bound.
+        Per-worker Predictor bound on captured structure plans.
     pad_to_bucket:
         Canonical-chunk promotion threshold.  When a flush's unique ids
         cover at least this fraction of the bucket's membership (and the
@@ -144,9 +144,9 @@ class ServingConfig:
         *full* sorted member list.  The few extra logits rows cost one
         replayed forward slot each, and in exchange every such flush
         collates to the same canonical chunk — a content-cache hit whose
-        batch object replays its captured arena plan, which is what keeps
-        the saturated steady state allocation-free (the serving analogue
-        of shape-bucketed padding).  ``None`` disables promotion.
+        batch object replays its captured structure plan, which is what
+        keeps the saturated steady state from rebuilding coarsening
+        hierarchies (the serving analogue of shape-bucketed padding).  ``None`` disables promotion.
     """
 
     max_batch: int = 32
@@ -350,7 +350,7 @@ class GraphServer:
         return handles
 
     def stats(self) -> dict:
-        """Counters + queue state + aggregated worker arena counters."""
+        """Counters + queue state + aggregated worker plan counters."""
         with self._mutex:
             queued = sum(len(b.requests) for b in self._buckets.values())
             batches = sum(self._batch_hist.values())

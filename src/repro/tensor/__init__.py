@@ -3,8 +3,7 @@
 from .tensor import DEFAULT_DTYPE, Tensor
 from ._grad_mode import (enable_grad, grad_enabled, no_grad,
                          set_grad_enabled)
-from .workspace import (Workspace, active_workspace, training_arena_active,
-                        use_training_workspace, use_workspace)
+from .workspace import Workspace, use_workspace
 from .tape import TapeInvalid, TrainingTape, active_tape
 from .precision import (ACCUM_DTYPE, default_dtype, get_default_dtype,
                         resolve_dtype, set_default_dtype)
@@ -26,8 +25,7 @@ from .random import draw_normal, draw_uniform, make_rng, spawn
 __all__ = [
     "DEFAULT_DTYPE", "Tensor",
     "enable_grad", "grad_enabled", "no_grad", "set_grad_enabled",
-    "Workspace", "active_workspace", "training_arena_active",
-    "use_training_workspace", "use_workspace",
+    "Workspace", "use_workspace",
     "TapeInvalid", "TrainingTape", "active_tape",
     "ACCUM_DTYPE", "default_dtype", "get_default_dtype", "resolve_dtype",
     "set_default_dtype",

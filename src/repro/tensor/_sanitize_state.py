@@ -29,8 +29,8 @@ class SanitizerError(RuntimeError):
     """An invariant violation caught by a runtime sanitizer.
 
     Raised at the violation site with a report naming the op, operand
-    shapes and dtype provenance — the debugging context a silent NaN or a
-    stale arena slot normally destroys.
+    shapes and dtype provenance — the debugging context a silent NaN
+    normally destroys.
     """
 
 

@@ -29,8 +29,6 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 from scipy.sparse import _sparsetools as _sptools
 
-from . import workspace as _ws
-
 #: Upper bound on cached plans; LRU-evicted beyond this.  Each entry pins
 #: its ids array, so the bound also caps the pinned memory.  Sized above a
 #: minibatch epoch's working set (stable per-batch structural ids plus the
@@ -158,11 +156,9 @@ class SegmentReductionPlan:
         dense = np.ascontiguousarray(values, dtype=dtype)
         # Direct kernel call: scipy's ``@`` re-derives index dtypes
         # and re-validates shapes on every product, which is
-        # measurable at this call frequency.  The zeroed accumulator can
-        # come from the inference workspace — csr_matvecs adds into it,
-        # so a re-zeroed recycled buffer is bitwise identical to a fresh
-        # np.zeros.
-        out = _ws.ws_zeros((self.num_segments, dense.shape[1]), dtype)
+        # measurable at this call frequency.  csr_matvecs adds into the
+        # zeroed accumulator.
+        out = np.zeros((self.num_segments, dense.shape[1]), dtype=dtype)
         n_rows, n_vecs = dense.shape
         _sptools.csr_matvecs(self.num_segments, n_rows, n_vecs,
                              indptr, indices, data,
@@ -190,9 +186,9 @@ class SegmentReductionPlan:
             # ids every epoch) take the reduceat path below instead.
             out = self._csr_sum(values, np.dtype(dtype))
             return out
-        out = _ws.ws_zeros((self.num_segments,) + values.shape[1:], dtype)
+        out = np.zeros((self.num_segments,) + values.shape[1:], dtype=dtype)
         if self.starts.size:
-            out[self.present] = np.add.reduceat(self._take_sorted(values),
+            out[self.present] = np.add.reduceat(values[self.order],
                                                 self.starts, axis=0)
         return out
 
@@ -205,20 +201,12 @@ class SegmentReductionPlan:
         """
         if dtype is None:
             dtype = values.dtype
-        out = _ws.ws_zeros((self.num_segments,) + values.shape[1:], dtype)
+        out = np.zeros((self.num_segments,) + values.shape[1:], dtype=dtype)
         if self.starts.size:
-            peak = np.maximum.reduceat(self._take_sorted(values),
+            peak = np.maximum.reduceat(values[self.order],
                                        self.starts, axis=0)
             out[self.present] = np.where(np.isfinite(peak), peak, 0.0)
         return out
-
-    def _take_sorted(self, values: np.ndarray) -> np.ndarray:
-        """``values[self.order]`` via a workspace slot when one is active."""
-        ws = _ws.active_workspace()
-        if ws is not None and values.dtype.kind == "f":
-            return np.take(values, self.order, axis=0,
-                           out=ws.take(values.shape, values.dtype))
-        return values[self.order]
 
 
 def _array_key(arr: np.ndarray) -> Tuple:

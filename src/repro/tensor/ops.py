@@ -14,24 +14,8 @@ import numpy as np
 
 from . import _grad_mode as _grad
 from . import _segment_plans as _plans
-from . import workspace as _ws
 from .precision import ACCUM_DTYPE
 from .tensor import DEFAULT_DTYPE, ArrayLike, Number, Tensor
-
-
-def _gather_rows_data(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``data[idx]`` routed through the active inference workspace.
-
-    ``np.take`` writes the gather into a reusable arena slot when one is
-    active (float buffers only — integer index arrays must never be
-    workspace-recycled, see :mod:`repro.tensor.workspace`); otherwise this
-    is plain fancy indexing, bit for bit.
-    """
-    ws = _ws.active_workspace()
-    if ws is not None and data.dtype.kind == "f":
-        out = ws.take(idx.shape + data.shape[1:], data.dtype)
-        return np.take(data, idx, axis=0, out=out)
-    return data[idx]
 
 
 def _as_tensor(value: ArrayLike) -> Tensor:
@@ -110,8 +94,7 @@ def relu(x: ArrayLike) -> Tensor:
     # -0.0 that fmax(-0.0, 0) may keep into +0.0.  A data-dependent
     # select mispredicts on random signs (~9x slower on a 52k x 64
     # float32 block, 2-core x86 host).
-    out_data = _ws.ws_empty(x.data.shape, x.data.dtype)
-    np.fmax(x.data, 0, out=out_data)
+    out_data = np.fmax(x.data, 0)
     out_data += 0
 
     def backward(grad: np.ndarray) -> None:
@@ -131,8 +114,7 @@ def leaky_relu(x: ArrayLike, negative_slope: float = 0.2) -> Tensor:
     if negative_slope <= 1.0:
         # max(x, s·x) selects x on the positive branch and s·x on the
         # negative one — one temporary fewer than the equivalent np.where.
-        out_data = _ws.ws_empty(x.data.shape, x.data.dtype)
-        np.multiply(x.data, negative_slope, out=out_data)
+        out_data = np.multiply(x.data, negative_slope)
         np.maximum(x.data, out_data, out=out_data)
     else:
         out_data = np.where(mask, x.data, negative_slope * x.data)
@@ -156,12 +138,8 @@ def leaky_relu_project(x: ArrayLike, a: Tensor,
     a = _as_tensor(a)
     if not _plans.fast_kernels_enabled():
         return leaky_relu(x, negative_slope=negative_slope) @ a
-    act = _ws.ws_empty(x.data.shape, x.data.dtype)
-    out_shape = ((x.data.shape[0],) if a.data.ndim == 1
-                 else (x.data.shape[0], a.data.shape[1]))
-    out_dtype = np.result_type(x.data, a.data)
-    np.maximum(x.data, negative_slope * x.data, out=act)
-    out_data = np.matmul(act, a.data, out=_ws.ws_out(out_shape, out_dtype))
+    act = np.maximum(x.data, negative_slope * x.data)
+    out_data = np.matmul(act, a.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -170,11 +148,10 @@ def leaky_relu_project(x: ArrayLike, a: Tensor,
             # the multiply off the float32 fast path, doubling the memory
             # traffic of the hottest backward in the attention stack.
             slope = x.data.dtype.type(negative_slope)
-            gact = _ws.ws_empty(x.data.shape, np.result_type(grad, a.data))
             if a.data.ndim == 1:
-                np.multiply(grad[:, None], a.data[None, :], out=gact)
+                gact = np.multiply(grad[:, None], a.data[None, :])
             else:
-                np.matmul(grad, a.data.T, out=gact)
+                gact = np.matmul(grad, a.data.T)
             # Masked in-place scale instead of multiplying by a dense
             # where(mask, 1, slope) factor: the positive entries need
             # no touch at all (x·1 is bitwise x), so this runs one
@@ -279,16 +256,7 @@ def concat(tensors: Sequence[ArrayLike], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis``."""
     tensors = [_as_tensor(t) for t in tensors]
     arrays = [t.data for t in tensors]
-    ws = _ws.active_workspace()
-    if ws is None or any(a.dtype.kind != "f" for a in arrays):
-        out_data = np.concatenate(arrays, axis=axis)
-    else:
-        ax = axis % arrays[0].ndim
-        shape = list(arrays[0].shape)
-        shape[ax] = sum(a.shape[ax] for a in arrays)
-        out_data = np.concatenate(
-            arrays, axis=axis,
-            out=ws.take(tuple(shape), np.result_type(*arrays)))
+    out_data = np.concatenate(arrays, axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -343,7 +311,7 @@ def gather_rows(x: ArrayLike, index: np.ndarray) -> Tensor:
     """
     x = _as_tensor(x)
     idx = np.asarray(index, dtype=np.int64)
-    out_data = _gather_rows_data(x.data, idx)
+    out_data = x.data[idx]
 
     def backward(grad: np.ndarray) -> None:
         if idx.ndim == 1 and _plans.fast_kernels_enabled():
@@ -412,19 +380,13 @@ def affine(x: ArrayLike, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     if x.data.ndim != 2 or not _plans.fast_kernels_enabled():
         out = x @ weight
         return out + bias if bias is not None else out
-    out_shape = (x.data.shape[0], weight.data.shape[1])
-    out_dtype = np.result_type(x.data, weight.data)
-    out_data = np.matmul(x.data, weight.data,
-                         out=_ws.ws_out(out_shape, out_dtype))
+    out_data = np.matmul(x.data, weight.data)
     if bias is not None:
         out_data += bias.data
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            gx = _ws.ws_empty(x.data.shape,
-                              np.result_type(grad, weight.data))
-            np.matmul(grad, weight.data.T, out=gx)
-            x._accumulate(gx)
+            x._accumulate(np.matmul(grad, weight.data.T))
         if weight.requires_grad:
             weight._accumulate(x.data.T @ grad)
         if bias is not None and bias.requires_grad:
@@ -452,11 +414,9 @@ def pair_dot(x: ArrayLike, index_a: np.ndarray,
     if idx_a.shape != idx_b.shape or idx_a.ndim != 1:
         raise ValueError(f"pair_dot expects matching 1-D index arrays, got "
                          f"{idx_a.shape} and {idx_b.shape}")
-    xa = _gather_rows_data(x.data, idx_a)
-    xb = _gather_rows_data(x.data, idx_b)
-    out_data = np.einsum("ij,ij->i", xa, xb,
-                         out=_ws.ws_out((xa.shape[0],),
-                                        np.result_type(xa, xb)))
+    xa = x.data[idx_a]
+    xb = x.data[idx_b]
+    out_data = np.einsum("ij,ij->i", xa, xb)
 
     def backward(grad: np.ndarray) -> None:
         g = grad[:, None]
@@ -467,8 +427,8 @@ def pair_dot(x: ArrayLike, index_a: np.ndarray,
             # The joined ids are identity-cached, so stable pair lists
             # keep hitting one cached plan across steps.
             p = idx_a.shape[0]
-            vals = _ws.ws_empty((2 * p,) + xb.shape[1:],
-                                np.result_type(g, xb))
+            vals = np.empty((2 * p,) + xb.shape[1:],
+                            dtype=np.result_type(g, xb))
             np.multiply(g, xb, out=vals[:p])
             np.multiply(g, xa, out=vals[p:])
             gx = _plans.scatter_add_rows(
@@ -495,9 +455,7 @@ def rowwise_dot(a: ArrayLike, b: ArrayLike) -> Tensor:
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
         raise ValueError(f"rowwise_dot expects matching (n, d) operands, "
                          f"got {a.data.shape} and {b.data.shape}")
-    out_data = np.einsum("ij,ij->i", a.data, b.data,
-                         out=_ws.ws_out((a.data.shape[0],),
-                                        np.result_type(a.data, b.data)))
+    out_data = np.einsum("ij,ij->i", a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
         g = grad[:, None]

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import _sanitize_state as _san
 from . import _segment_plans as _plans
-from . import workspace as _ws
-from .ops import _gather_rows_data, exp, gather_rows
+from .ops import exp, gather_rows
 from .tensor import DEFAULT_DTYPE, ArrayLike, Tensor
 
 
@@ -160,23 +159,15 @@ def gather_scale_segment_sum(x: ArrayLike, gather_ids: np.ndarray,
         messages = gather_rows(x, cols) * scale.reshape(-1, 1)
         return segment_sum(messages, ids, num_segments)
 
-    gathered = _gather_rows_data(x.data, cols)
+    gathered = x.data[cols]
     weights = scale.data[:, None]
     plan = _plans.plan_for(ids, num_segments)
-    scaled = np.multiply(gathered, weights,
-                         out=_ws.ws_out(gathered.shape,
-                                        np.result_type(gathered, weights)))
-    out_data = plan.sum(scaled)
+    out_data = plan.sum(np.multiply(gathered, weights))
 
     def backward(grad: np.ndarray) -> None:
-        pulled = np.take(grad, ids, axis=0,
-                         out=_ws.ws_out((ids.shape[0],) + grad.shape[1:],
-                                        grad.dtype))
+        pulled = grad[ids]
         if x.requires_grad:
-            vals = np.multiply(pulled, weights,
-                               out=_ws.ws_out(pulled.shape,
-                                              np.result_type(pulled,
-                                                             weights)))
+            vals = np.multiply(pulled, weights)
             x._accumulate(_plans.scatter_add_rows(
                 vals, cols, x.data.shape[0]))
         if scale.requires_grad:
@@ -208,16 +199,15 @@ def segment_softmax(scores: ArrayLike, segment_ids: np.ndarray,
     plan = _plans.plan_for(ids, num_segments)
     # Subtracting the per-segment max is a constant shift: it changes
     # neither the value nor the gradient of the softmax.  Each step below
-    # reuses its workspace-gathered operand in place when an arena is
-    # active; with none active the buffers are fresh, exactly as before.
+    # reuses its freshly gathered operand in place.
     peak = plan.max(scores.data)
-    shift = _gather_rows_data(peak, ids)
+    shift = peak[ids]
     np.subtract(scores.data, shift, out=shift)
     e = np.exp(shift, out=shift)
     denom = plan.sum(e)
     # Guard empty segments (no entries reference them, value is irrelevant).
     denom[denom == 0.0] = 1.0
-    pulled = _gather_rows_data(denom, ids)
+    pulled = denom[ids]
     out_data = np.divide(e, pulled, out=pulled)
 
     def backward(grad: np.ndarray) -> None:

@@ -1,8 +1,8 @@
 """Replayable autograd tape for plan-captured training steps.
 
-PR 4 made *inference* allocation-free: under the frozen-structure contract
+Inference captures structural plans: under the frozen-structure contract
 of the batch caches, a forward is the same kernel sequence every time, so
-buffers and structural stages can be recorded once and replayed.  Training
+structural stages can be recorded once and replayed.  Training
 has the same structure-stability (the coarsening hierarchy a batch induces
 does not change between visits of the same cached batch) but not value
 stability — weights move every step — so what *can* be captured is the
@@ -159,9 +159,7 @@ class TrainingTape:
         same topological order, same skip conditions — while recording the
         firing sequence.  Replay mode re-fires that recorded sequence:
         identical accumulation order, no DAG walk.  Closures are dropped
-        after the pass either way (they retain forward intermediates, and
-        with a gradient arena active those are recyclable slots — see
-        replint RL005).
+        after the pass either way (they retain forward intermediates).
         """
         if self.mode == TrainingTape.CAPTURE:
             loss._accumulate(np.ones_like(loss.data))

@@ -1,141 +1,73 @@
-"""Preallocated out-buffer arena for grad-free inference forwards.
+"""Structural plan capture for grad-free inference forwards.
 
-NumPy hands every allocation of ~128 KiB or more to ``mmap``, so a fresh
-intermediate in a steady-state serving loop pays page-fault zeroing on every
-single forward.  A :class:`Workspace` removes that cost: the hot kernels
-(``affine``, ``leaky_relu_project``, segment reductions, SpMV, the flyback
-combine) request their output buffers through the active workspace instead
-of calling ``np.empty`` directly, and the workspace hands back the *same*
-buffers on every repeated forward.
-
-How the "plan capture" works
-----------------------------
-A model's forward is a deterministic sequence of kernel calls: for a fixed
-model and a fixed input batch, call *i* always produces the same output
-shape and dtype.  The workspace exploits this with a slot cursor — it
-records the buffer sequence of the first forward (the capture pass, which
-allocates) and replays it on every subsequent forward over the same batch
-(zero allocations, ``hits`` increments instead).  :meth:`Workspace.begin`
-rewinds the cursor; the :class:`~repro.inference.Predictor` calls it before
-each forward.  A shape or dtype mismatch at a slot (a *different* batch
-replayed against this arena) is not an error — the slot is reallocated and
-the ``allocations`` counter records it, which is exactly what the zero-alloc
-acceptance assertion inspects.
-
-Structural plan capture (opt-in)
---------------------------------
-With ``Workspace(capture_structures=True)`` the arena additionally records
-*structural* stage results through :meth:`Workspace.captured` — the
-coarsening hierarchy AdamGNN derives per batch (pooled-level ego-network
-pair lists, the ego-selection outcome, the detached connectivity product).
-For a **frozen** model these are pure functions of the batch, so the
-capture pass computes them once and every replay returns the recorded
+AdamGNN derives a coarsening hierarchy for every batch it sees (pooled-level
+ego-network pair lists, the ego-selection outcome, the detached
+connectivity product).  For a **frozen** model these are pure functions of
+the batch, so a :class:`Workspace` records them through
+:meth:`Workspace.captured` on the first forward over a batch (the capture
+pass) and every later forward over the same batch returns the recorded
 objects without recomputation — the serving analogue of graph capture.
 The stability of the recorded arrays is itself a speedup: every
 identity-keyed cache downstream (segment plans, Â adjacencies) hits
-instead of rotating.  Builders run with the arena *deactivated* so a
-captured object can never alias a recyclable buffer slot.  This mode is
-only sound when one arena serves one fixed (model, batch) pair — the
-:class:`~repro.inference.Predictor` guarantees that by keying arenas on
-batch identity and documenting the frozen-model contract (its
-``invalidate()`` drops captured plans after a parameter update).
+instead of rotating.
 
-Safety rules
-------------
-* A workspace may only be activated under :func:`~repro.tensor.no_grad`:
-  training-mode ``_backward`` closures capture forward intermediates by
-  reference, and recycling those buffers on the next forward would corrupt
-  the tape.  :func:`use_workspace` enforces this at entry.
-* Only *float compute* buffers go through the workspace.  Integer index
-  arrays must never be workspace-recycled: the segment-plan and adjacency
-  caches key on array identity, and a recycled buffer with the same id but
-  different contents would poison them.
-* Tensors returned to the caller alias arena slots; callers that keep
-  results across forwards must copy (the Predictor copies its logits out).
+Stages are matched by call order: :meth:`Workspace.begin` rewinds the plan
+cursor, and stage *i* of a replay returns what stage *i* of the capture
+pass built.  This is only sound when one workspace serves one fixed
+(model, batch) pair — the :class:`~repro.inference.Predictor` guarantees
+that by keying workspaces on batch identity and documenting the
+frozen-model contract (its ``invalidate()`` drops captured plans after a
+parameter update).
+
+A workspace may only be activated under :func:`~repro.tensor.no_grad`: the
+stages behind :func:`ws_captured` track the learned fitness, so every
+training-mode forward must recompute them.  :func:`use_workspace` enforces
+this at entry.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional
 
 from ._grad_mode import grad_enabled
 
-__all__ = ["Workspace", "use_workspace", "use_training_workspace",
-           "active_workspace", "training_arena_active",
-           "ws_empty", "ws_zeros", "ws_out", "ws_captured"]
+__all__ = ["Workspace", "use_workspace", "ws_captured"]
 
 
 class Workspace:
-    """A slot-cursor arena of reusable output buffers.
+    """Record/replay store for one batch's structural stage results.
 
-    Buffers are handed out in call order; slot *i* of forward *n* is the
-    same ndarray as slot *i* of forward *n−1* whenever shape and dtype
-    match.  Counters:
+    Counters:
 
+    ``structure_hits``
+        Stages served from the recorded plan instead of being rebuilt.
     ``allocations``
-        Number of ``np.empty`` calls ever made on behalf of this arena
-        (capture pass + any shape-drift reallocations).  Steady state over
-        a fixed batch means this number stops moving.
-    ``hits``
-        Number of requests served by reusing an existing slot buffer.
+        Always 0: the workspace recycles no buffers.  Kept so callers that
+        count per-forward allocations read a steady state.
     """
 
-    __slots__ = ("_slots", "_cursor", "_buckets", "_bucket_cursor",
-                 "allocations", "hits",
-                 "capture_structures", "_plan", "_plan_cursor",
-                 "structure_hits", "generation", "training")
+    __slots__ = ("_plan", "_plan_cursor", "structure_hits")
 
-    def __init__(self, capture_structures: bool = False,
-                 training: bool = False) -> None:
-        self._slots: List[np.ndarray] = []
-        self._cursor: int = 0
-        #: training-arena storage: size-class buckets (see take()) with a
-        #: per-generation cursor into each bucket's buffer list.
-        self._buckets: dict = {}
-        self._bucket_cursor: dict = {}
-        self.allocations: int = 0
-        self.hits: int = 0
-        #: forwards started on this arena; each begin() releases every slot
-        #: of the previous generation (the sanitizer poisons them then).
-        self.generation: int = 0
-        #: record/replay structural stage results (see module docstring);
-        #: only sound for a frozen model served one fixed batch per arena.
-        self.capture_structures = bool(capture_structures)
-        #: grad-enabled generation: one generation spans one whole training
-        #: step (forward + loss + backward), entered via
-        #: :func:`use_training_workspace`.  The slot cursor never rewinds
-        #: within a step, so every ``take()`` — forward intermediates *and*
-        #: gradient buffers — gets a distinct slot, and backward closures
-        #: from step *n* are dropped by the tape before step *n+1* begins
-        #: a new generation (replint RL005 polices retention).
-        self.training = bool(training)
+    allocations = 0
+
+    def __init__(self) -> None:
         self._plan: List = []
         self._plan_cursor: int = 0
         self.structure_hits: int = 0
 
     def begin(self) -> None:
-        """Rewind the slot cursors — call before each forward/step."""
-        self._cursor = 0
-        if self._bucket_cursor:
-            self._bucket_cursor.clear()
+        """Rewind the plan cursor — call before each forward."""
         self._plan_cursor = 0
-        self.generation += 1
 
     def captured(self, builder):
         """Record ``builder()``'s result on the capture pass, replay after.
 
-        Structural twin of :meth:`take`: stage *i* of forward *n* returns
-        the exact objects stage *i* of the capture pass produced.  With
-        ``capture_structures`` off this is a transparent passthrough.  The
-        builder runs with the arena deactivated so its result can never
-        hold a buffer slot that the next forward would recycle.
+        The builder runs with the workspace deactivated, so a stage nested
+        inside it is part of its recorded result rather than a plan entry
+        of its own (which would land out of call order).
         """
-        if not self.capture_structures:
-            return builder()
         i = self._plan_cursor
         self._plan_cursor = i + 1
         if i < len(self._plan):
@@ -150,110 +82,17 @@ class Workspace:
         self._plan.append(value)
         return value
 
-    #: training-arena service floor, in *elements*: requests below it go
-    #: straight to ``np.empty``.  glibc malloc serves small repeated
-    #: allocations from its free lists with no page faulting, so routing
-    #: them through the slot machinery costs Python-level bookkeeping per
-    #: call and saves nothing — measured on PROTEINS, ~500 of the ~800
-    #: per-epoch arena requests were under 64 KiB while carrying under a
-    #: tenth of the bytes.  The arena keeps the large compute/gradient
-    #: buffers, which is where kernel page faulting actually lived.
-    SMALL_ELEMS = 16384
-
-    def take(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """Return the next slot buffer, (re)allocating only on mismatch.
-
-        Inference arenas match slots *exactly* (one arena serves one fixed
-        batch, so shapes never move and the buffer itself is returned).
-        Training arenas match by **size class**: AdamGNN's pooled-level
-        sizes wobble per step as the learned selection moves, and both an
-        exact-shape arena and a strict call-order arena churn under that —
-        the latter because one request drifting across the
-        :data:`SMALL_ELEMS` floor (or between sizes) shifts every
-        subsequent cursor position onto a slot of the wrong capacity.
-        Instead each request is bucketed by ``(dtype,
-        ceil(log2(need * 9/8)))`` — power-of-two capacity classes with the
-        boundary shifted ~12.5% below each power of two, so requests sized
-        *at* a power of two (the common case: feature dims are 64/196)
-        keep a headroom margin and small drift stays inside the class.
-        Buffers within a bucket are handed out in per-generation arrival
-        order as reshaped prefix views; a size wobbling across a class
-        boundary populates both classes once and then stops allocating —
-        the ``allocations`` counter settles even though shapes drift.
-        Small requests below :data:`SMALL_ELEMS` go straight to
-        ``np.empty`` (see its comment) and cannot perturb the buckets.
-        """
-        if self.training:
-            need = 1
-            for dim in shape:
-                need *= dim
-            if need < Workspace.SMALL_ELEMS:
-                return np.empty(shape, dtype=dtype)
-            key = (np.dtype(dtype).char,
-                   (need + (need >> 3) + 7).bit_length())
-            cursors = self._bucket_cursor
-            i = cursors.get(key, 0)
-            cursors[key] = i + 1
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self._buckets[key] = []
-            if i < len(bucket):
-                self.hits += 1
-                return bucket[i][:need].reshape(shape)
-            self.allocations += 1
-            buf = np.empty(1 << key[1], dtype=dtype)
-            bucket.append(buf)
-            return buf[:need].reshape(shape)
-        shape = tuple(shape)
-        dtype = np.dtype(dtype)
-        i = self._cursor
-        self._cursor = i + 1
-        if i < len(self._slots):
-            buf = self._slots[i]
-            if buf.shape == shape and buf.dtype == dtype:
-                self.hits += 1
-                return buf
-            self.allocations += 1
-            buf = np.empty(shape, dtype=dtype)
-            self._slots[i] = buf
-            return buf
-        self.allocations += 1
-        buf = np.empty(shape, dtype=dtype)
-        self._slots.append(buf)
-        return buf
-
-    def _buffers(self) -> Iterator[np.ndarray]:
-        """Every live buffer: inference slots plus training buckets."""
-        yield from self._slots
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    @property
-    def num_slots(self) -> int:
-        return len(self._slots) + sum(len(b)
-                                      for b in self._buckets.values())
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers())
-
     def stats(self) -> dict:
-        return {"allocations": self.allocations, "hits": self.hits,
-                "slots": self.num_slots, "nbytes": self.nbytes,
+        return {"allocations": self.allocations,
                 "captured_structures": len(self._plan),
                 "structure_hits": self.structure_hits}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Workspace(slots={self.num_slots}, "
-                f"allocations={self.allocations}, hits={self.hits}, "
-                f"nbytes={self.nbytes})")
 
 
 class _WorkspaceState(threading.local):
     """Per-thread active workspace.  Thread-local so each serving worker
-    (see :mod:`repro.serving`) replays its own arena: one worker's slot
-    cursor must never hand buffers to a forward running on another
-    thread.  Fresh threads start with no workspace active."""
+    (see :mod:`repro.serving`) replays its own plan: one worker's cursor
+    must never serve a forward running on another thread.  Fresh threads
+    start with no workspace active."""
 
     active: Optional[Workspace] = None
 
@@ -261,25 +100,20 @@ class _WorkspaceState(threading.local):
 _state = _WorkspaceState()
 
 
-def active_workspace() -> Optional[Workspace]:
-    """The calling thread's active workspace (``None`` outside serving)."""
-    return _state.active
-
-
 @contextmanager
 def use_workspace(workspace: Workspace) -> Iterator[Workspace]:
-    """Route kernel output buffers through ``workspace``.
+    """Replay ``workspace``'s structural plan in this thread's forwards.
 
     Requires gradient mode to be off (see module docstring); rewinds the
-    slot cursor on entry so each activation is one forward's replay.
+    plan cursor on entry so each activation is one forward's replay.
     Re-entrant activations nest (the inner workspace wins), which keeps a
-    Predictor-in-Predictor composition from silently interleaving slots.
+    Predictor-in-Predictor composition from interleaving plans.
     """
     if grad_enabled():
         raise RuntimeError(
-            "use_workspace() requires no_grad(): backward closures capture "
-            "forward buffers by reference, and recycling them would corrupt "
-            "the autograd tape")
+            "use_workspace() requires no_grad(): captured structural "
+            "stages track the learned fitness, so a grad-mode forward "
+            "must recompute them")
     previous = _state.active
     workspace.begin()
     _state.active = workspace
@@ -287,88 +121,15 @@ def use_workspace(workspace: Workspace) -> Iterator[Workspace]:
         yield workspace
     finally:
         _state.active = previous
-
-
-@contextmanager
-def use_training_workspace(workspace: Workspace) -> Iterator[Workspace]:
-    """Route one *training step* (forward + loss + backward) through an arena.
-
-    The grad-enabled counterpart of :func:`use_workspace`: the no-grad
-    requirement is deliberately waived because the aliasing hazard it
-    guards against — backward closures reading recycled buffers — is
-    resolved differently here.  One activation is one generation spanning
-    the whole step; the cursor hands out a fresh slot for every request,
-    so forward intermediates and gradient buffers never alias within the
-    step, and the step's closures are all consumed (and dropped by the
-    tape) before the next activation recycles anything.  The workspace
-    must have been created with ``training=True``.
-    """
-    if not workspace.training:
-        raise RuntimeError(
-            "use_training_workspace() needs a Workspace(training=True); "
-            "inference arenas must go through use_workspace()")
-    previous = _state.active
-    workspace.begin()
-    _state.active = workspace
-    try:
-        yield workspace
-    finally:
-        _state.active = previous
-
-
-def training_arena_active() -> bool:
-    """Whether the calling thread's active workspace is a training arena.
-
-    Call sites that must behave differently under training capture — e.g.
-    per-step recomputation of value-carrying stages that the inference
-    path is allowed to freeze — branch on this.
-    """
-    ws = _state.active
-    return ws is not None and ws.training
-
-
-def ws_empty(shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """``np.empty`` that comes from the active workspace when there is one."""
-    ws = _state.active
-    if ws is None:
-        return np.empty(shape, dtype=dtype)
-    return ws.take(shape, dtype)
-
-
-def ws_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """``np.zeros`` that reuses (and re-zeroes) a workspace slot."""
-    ws = _state.active
-    if ws is None:
-        return np.zeros(shape, dtype=dtype)
-    buf = ws.take(shape, dtype)
-    buf.fill(0)
-    return buf
 
 
 def ws_captured(builder):
     """Route a structural stage through the active workspace's plan.
 
-    Transparent (just calls ``builder()``) when no workspace is active or
-    the active one was not created with ``capture_structures=True`` — the
-    training path and plain no-grad evaluation always recompute.  Training
-    arenas are created *without* structure capture on purpose: the stages
-    behind this helper (ego selection, assignment assembly, connectivity)
-    track the learned fitness and must recompute every step.
+    Transparent (just calls ``builder()``) when no workspace is active —
+    the training path and plain no-grad evaluation always recompute.
     """
     ws = _state.active
     if ws is None:
         return builder()
     return ws.captured(builder)
-
-
-def ws_out(shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
-    """Workspace slot for an ``out=`` argument, or ``None`` when inactive.
-
-    ``None`` makes NumPy ufuncs/``matmul`` allocate exactly as the
-    training-mode code does, so call sites stay one-liners:
-    ``np.matmul(a, b, out=ws_out(shape, dt))``.
-    """
-    ws = _state.active
-    if ws is None:
-        return None
-    return ws.take(shape, dtype)

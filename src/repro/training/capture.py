@@ -1,7 +1,6 @@
 """Per-(batch, structure) training-step capture registry.
 
-Bridges the :class:`~repro.tensor.tape.TrainingTape` / grad-arena
-machinery to the trainers' step loops.  One :class:`StepCapture` lives on a
+Bridges the :class:`~repro.tensor.tape.TrainingTape` machinery to the trainers' step loops.  One :class:`StepCapture` lives on a
 trainer and decides, per step, whether the step runs uncaptured, records a
 new tape, or replays an existing one.
 
@@ -48,8 +47,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..tensor import TapeInvalid, TrainingTape, Workspace
-from ..tensor.workspace import use_training_workspace
+from ..tensor import TapeInvalid, TrainingTape
 
 __all__ = ["StepCapture", "CaptureEntry", "model_rngs", "run_step"]
 
@@ -94,15 +92,9 @@ class CaptureEntry:
 class StepCapture:
     """Second-visit capture policy over an LRU of tape entries.
 
-    One grad-enabled arena is shared by every entry rather than held per
-    key: the size-class buckets absorb the per-batch size differences
-    the same way they absorb the per-step selection wobble, and sharing
-    keeps the steady-state working set at one step's buffers instead of
-    one per captured batch — per-key arenas measured *slower* than the
-    uncaptured path on cache-sized models because each step cycled
-    through a different arena's cold pages.  No structure capture on the
-    arena: the stages behind ``ws_captured`` track the learned fitness
-    (ego selection, S_k, connectivity) and must recompute every step.
+    Only the autograd tape is captured: the structural stages behind
+    ``ws_captured`` track the learned fitness (ego selection, S_k,
+    connectivity) and must recompute every step.
     """
 
     def __init__(self, capacity: int = 32, seen_capacity: int = 64) -> None:
@@ -110,7 +102,6 @@ class StepCapture:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.seen_capacity = seen_capacity
-        self.arena = Workspace(training=True)
         self._entries: "OrderedDict[Tuple, CaptureEntry]" = OrderedDict()
         self._seen: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self.captures = 0
@@ -180,8 +171,7 @@ class StepCapture:
         replaying = entry.tape.captured
         rng_states = [g.bit_generator.state for g in rngs]
         try:
-            with entry.tape.active_pass(), \
-                    use_training_workspace(self.arena):
+            with entry.tape.active_pass():
                 loss = forward_loss()
                 entry.tape.backward(loss)
         except TapeInvalid:
@@ -194,7 +184,7 @@ class StepCapture:
             loss.backward()
             return loss
         except BaseException:
-            # A half-recorded tape (or half-replayed arena) must not be
+            # A half-recorded (or half-replayed) tape must not be
             # replayed against later steps; drop it before propagating.
             self.invalidate(pins, dtype)
             raise
@@ -212,7 +202,7 @@ class StepCapture:
 
         ``hits`` are replayed steps, ``misses`` are capture passes; the
         extra keys break down why steps ran uncaptured and what the
-        gradient arenas cost.
+        tapes hold.
         """
         return {
             "hits": self.replays,
@@ -225,7 +215,4 @@ class StepCapture:
             "marked_keys": len(self._seen),
             "tape_nodes": sum(len(e.tape.nodes)
                               for e in self._entries.values()),
-            "grad_arena_bytes": self.arena.nbytes,
-            "arena_allocations": self.arena.allocations,
-            "arena_hits": self.arena.hits,
         }

@@ -62,9 +62,9 @@ class TrainConfig:
     #: recompute-per-batch path; kept as an escape hatch and as the
     #: reference of ``test_batch_cache_equals_plain_collation``.
     batch_cache: bool = True
-    #: Training-step plan capture: record the autograd tape + buffer arena
-    #: once per recurring (batch, structure) pair and replay it (see
-    #: DESIGN.md "Training plan capture").  ``None`` resolves from the
+    #: Training-step plan capture: record the autograd tape once per
+    #: recurring (batch, structure) pair and replay it (see DESIGN.md
+    #: "Training plan capture").  ``None`` resolves from the
     #: ``REPRO_TRAIN_CAPTURE`` env var (``0``/``false``/``off`` or
     #: ``1``/``true``/``on``, else ``ValueError``) and defaults to on —
     #: replay is validated per step and falls back to the uncaptured path

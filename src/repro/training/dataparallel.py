@@ -39,7 +39,7 @@ Worker processes
 Workers are spawned once per ``fit`` (start method ``fork`` when
 available, else the platform's first) and are persistent: each owns a
 private model replica, its own :class:`~repro.core.DatasetStructures`
-pipeline, step-capture registry and gradient arenas, and re-enters the
+pipeline and step-capture registry, and re-enters the
 coordinator's kernel mode (``naive_kernels`` or not) so a shard computes
 the same bits in any process.  The per-step protocol over each worker's
 pipe is::

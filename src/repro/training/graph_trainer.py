@@ -124,7 +124,7 @@ class GraphClassificationTrainer:
         #: for the check.
         self._structures: Optional[Tuple[GraphDataset, Tuple,
                                          DatasetStructures]] = None
-        #: training-step tape/arena registry (None = capture disabled)
+        #: training-step tape registry (None = capture disabled)
         self._capture: Optional[StepCapture] = \
             StepCapture() if self.config.capture else None
         #: merged per-worker cache counters of the last data-parallel

@@ -82,7 +82,7 @@ class NodeClassificationTrainer:
 
     def __init__(self, config: Optional[TrainConfig] = None):
         self.config = config if config is not None else TrainConfig()
-        #: training-step tape/arena registry (None = capture disabled)
+        #: training-step tape registry (None = capture disabled)
         self._capture: Optional[StepCapture] = \
             StepCapture() if self.config.capture else None
         #: neighbour sampler of the last sampled fit (counters)

@@ -9,3 +9,7 @@ def ping():
 
 def pong():
     return ping_pong()         # → alpha.ping_pong → ping: a 3-cycle
+
+
+def clean(shape):
+    return list(shape)         # builtin: unresolvable, recorded external

@@ -1,6 +1,6 @@
-"""Engine tests: project index, call-graph resolution, and the
-interprocedural taint fixpoint, over the ``callgraph_pkg`` fixture
-package (cycles, inheritance, aliased imports, re-exports)."""
+"""Engine tests: project index and call-graph resolution over the
+``callgraph_pkg`` fixture package (cycles, inheritance, aliased imports,
+re-exports)."""
 
 from __future__ import annotations
 
@@ -103,32 +103,4 @@ def test_reachability_terminates_on_cycles():
 def test_unresolved_calls_recorded_as_external():
     project = build_index()
     graph = project.callgraph()
-    assert "list" in graph.external["callgraph_pkg.taints:clean"]
-
-
-# ---------------------------------------------------------------------------
-# Interprocedural taint
-# ---------------------------------------------------------------------------
-def test_returns_taint_propagates_through_helper_hops():
-    project = build_index()
-    taint = project.taint(("ws_empty",))
-    assert "callgraph_pkg.taints:_alloc" in taint.returns_taint
-    assert "callgraph_pkg.taints:_wrap" in taint.returns_taint
-    assert "callgraph_pkg.taints:escape" in taint.returns_taint
-    assert "callgraph_pkg.taints:clean" not in taint.returns_taint
-
-
-def test_argument_taint_reaches_callee_parameters():
-    project = build_index()
-    taint = project.taint(("ws_empty",))
-    consume = project.functions["callgraph_pkg.taints:consume"]
-    names = taint.local_tainted(consume)
-    assert "buf" in names        # fed a tainted arg by feeder
-    assert "copy" not in names   # fed a literal
-
-
-def test_local_taint_includes_alias_chains():
-    project = build_index()
-    taint = project.taint(("ws_empty",))
-    wrap = project.functions["callgraph_pkg.taints:_wrap"]
-    assert "buf" in taint.local_tainted(wrap)
+    assert "list" in graph.external["callgraph_pkg.beta:clean"]

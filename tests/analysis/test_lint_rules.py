@@ -7,8 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 from repro.analysis import lint
-from repro.analysis.rules import (ArenaEscapeRule, ClosureRetentionRule,
-                                  CommReductionRule, NondetIterationRule,
+from repro.analysis.rules import (CommReductionRule, NondetIterationRule,
                                   SoleWriterRule, SourceFile,
                                   VJPRegistryRule, default_rules)
 from repro.analysis.rules.vjp_registry import fused_ops_with_custom_backward
@@ -39,10 +38,11 @@ def test_rl002_fixture_project():
     rule = VJPRegistryRule(ops_relpath="ops.py", tests_reldir="tests")
     report = lint.lint_paths([root / "ops.py"], rules=[rule], root=root)
     flagged = sorted(f.message.split("'")[1] for f in report.findings)
-    # covered_op is named in the corpus; elu must NOT be satisfied by the
-    # corpus's 'relu' (word-boundary matching); private/backward-less
-    # functions are out of scope.
-    assert flagged == ["elu", "uncovered_op"]
+    # covered_op is named inside a gradcheck call; forward_only_op is only
+    # called forward, which proves nothing about its VJP; elu must NOT be
+    # satisfied by the corpus's 'relu'; private/backward-less functions
+    # are out of scope.
+    assert flagged == ["elu", "forward_only_op", "uncovered_op"]
 
 
 def test_rl002_op_extraction():
@@ -50,7 +50,7 @@ def test_rl002_op_extraction():
     src = SourceFile(root / "ops.py", "ops.py",
                      (root / "ops.py").read_text())
     names = sorted(n.name for n in fused_ops_with_custom_backward(src.tree))
-    assert names == ["covered_op", "elu", "uncovered_op"]
+    assert names == ["covered_op", "elu", "forward_only_op", "uncovered_op"]
 
 
 def test_rl002_real_repo_every_fused_op_gradchecked():
@@ -68,84 +68,6 @@ def test_rl002_real_repo_every_fused_op_gradchecked():
     names = {n.name for n in fused_ops_with_custom_backward(src.tree)}
     assert {"affine", "relu", "softmax", "pair_dot"} <= names
     assert len(names) >= 15
-
-
-# ---------------------------------------------------------------------------
-# RL003 — arena escapes
-# ---------------------------------------------------------------------------
-def test_rl003_flags_escape_shapes():
-    findings = run_rule(ArenaEscapeRule(), "rl003_bad.py")
-    assert len(findings) == 3
-    messages = "\n".join(f.message for f in findings)
-    assert "stored on self.buffer" in messages
-    assert "returns a ws_zeros() arena buffer" in messages
-    assert "aliases a workspace arena slot" in messages
-
-
-def test_rl003_clean_on_sanctioned_usage():
-    assert run_rule(ArenaEscapeRule(), "rl003_good.py") == []
-
-
-def test_rl003_follows_taint_through_helper_calls():
-    # The interprocedural upgrade: an allocation hidden behind two
-    # private helper hops still taints the public function's return.
-    report = lint.lint_paths([FIXTURES / "callgraph_pkg"],
-                             rules=[ArenaEscapeRule()], root=FIXTURES)
-    flagged = {(f.path, f.message.split("'")[1]) for f in report.findings}
-    assert ("callgraph_pkg/taints.py", "escape") in flagged
-    # the private helpers themselves are not findings
-    assert all(name not in ("_alloc", "_wrap")
-               for _, name in flagged)
-
-
-# ---------------------------------------------------------------------------
-# RL005 — cross-generation retention of arena slots
-# ---------------------------------------------------------------------------
-def test_rl005_flags_retention_shapes():
-    findings = run_rule(ClosureRetentionRule(), "rl005_bad.py")
-    assert len(findings) == 4
-    assert {f.rule for f in findings} == {"RL005"}
-    messages = "\n".join(f.message for f in findings)
-    assert "stores an arena slot on self.last_grad" in messages
-    assert "appends an arena slot to a container" in messages
-    assert "declared global/nonlocal" in messages
-    assert "tape record" in messages
-
-
-def test_rl005_clean_on_sanctioned_usage():
-    assert run_rule(ClosureRetentionRule(), "rl005_good.py") == []
-
-
-def test_rl005_excludes_workspace_module():
-    rule = ClosureRetentionRule()
-    src = SourceFile(Path("workspace.py"), "repro/tensor/workspace.py",
-                     "def backward(g):\n"
-                     "    global _slot\n"
-                     "    _slot = ws_empty((3,), float)\n")
-    assert list(rule.check_file(src)) == []
-
-
-def test_rl005_real_tree_is_clean(src_tree_lint):
-    assert real_tree_findings(src_tree_lint, "RL005") == []
-
-
-def test_rl005_follows_taint_through_helper_calls(tmp_path):
-    # Hiding the allocation behind a private helper no longer hides the
-    # retention: the taint engine resolves the helper's return.
-    path = tmp_path / "wrapped.py"
-    path.write_text(
-        "from repro.tensor.workspace import ws_empty\n"
-        "def _scratch(shape):\n"
-        "    return ws_empty(shape, float)\n"
-        "def apply(shape):\n"
-        "    gact = _scratch(shape)\n"
-        "    def backward(grad, sink):\n"
-        "        sink.append(gact)\n"
-        "    return backward\n")
-    report = lint.lint_paths([path], rules=[ClosureRetentionRule()],
-                             root=tmp_path)
-    assert len(report.findings) == 1
-    assert "appends an arena slot" in report.findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +183,9 @@ def test_src_tree_has_no_findings(src_tree_lint):
 
 
 def test_findings_key_is_line_number_independent():
-    f1 = lint.Finding(rule="RL003", path="a.py", line=3, col=0,
-                      message="m", text="return ws_empty(3)")
-    f2 = lint.Finding(rule="RL003", path="a.py", line=30, col=4,
-                      message="m2", text="return ws_empty(3)")
+    f1 = lint.Finding(rule="RL006", path="a.py", line=3, col=0,
+                      message="m", text="lane[:] = g")
+    f2 = lint.Finding(rule="RL006", path="a.py", line=30, col=4,
+                      message="m2", text="lane[:] = g")
     assert f1.key == f2.key
     assert Counter([f1.key, f2.key])[f1.key] == 2

@@ -1,6 +1,6 @@
 """Runtime sanitizer tests: NaN detection with op attribution, the
-zero-cost-off patching contract, workspace poisoning, segment dtype
-contracts, and the env-var activation path.
+zero-cost-off patching contract, segment dtype contracts, and the
+env-var activation path.
 
 These tests must pass both plain and under ``REPRO_SANITIZE=1`` (the
 sanitized CI tier runs the whole suite that way), so every assertion about
@@ -16,9 +16,7 @@ from repro.analysis import (SanitizerError, assert_unpatched,
                             disable_sanitizer, enable_sanitizer,
                             env_requested, sanitize, sanitizer_enabled,
                             sanitizer_paused)
-from repro.tensor import (Tensor, Workspace, affine, exp, no_grad, relu,
-                          segment_sum, use_workspace)
-from repro.tensor.workspace import ws_empty
+from repro.tensor import Tensor, affine, exp, relu, segment_sum
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +82,10 @@ def test_patch_cycle_restores_original_function_objects():
     if sanitizer_enabled():
         pytest.skip("REPRO_SANITIZE armed for the whole process")
     before_child = Tensor._make_child
-    before_begin = Workspace.begin
     with sanitize():
         assert Tensor._make_child is not before_child
-        assert Workspace.begin is not before_begin
         assert sanitizer_enabled()
     assert Tensor._make_child is before_child
-    assert Workspace.begin is before_begin
     assert not sanitizer_enabled()
     assert_unpatched()
 
@@ -115,53 +110,6 @@ def test_sanitizer_paused_restores_hot_path():
             assert np.isnan(out.data[0])
         with pytest.raises(SanitizerError):
             exp(Tensor(np.array([np.nan])))
-
-
-# ---------------------------------------------------------------------------
-# Workspace poison sanitizer
-# ---------------------------------------------------------------------------
-def test_begin_poisons_released_slots_and_bumps_generation():
-    ws = Workspace()
-    with no_grad(), use_workspace(ws):
-        buf = ws_empty((4,), np.float64)
-        buf[:] = 7.0
-    generation = ws.generation
-    with sanitize():
-        with no_grad(), use_workspace(ws):
-            pass  # begin() runs on activation
-    assert np.isnan(buf).all()
-    assert ws.generation == generation + 1
-
-
-def test_stale_buffer_read_is_caught_by_detector():
-    ws = Workspace()
-    with no_grad(), use_workspace(ws):
-        stale = ws_empty((4,), np.float64)
-        stale[:] = 1.0
-    with sanitize():
-        with no_grad(), use_workspace(ws):
-            # Reading the retained alias after the generation advance is
-            # reported (the slot was poisoned by begin()).
-            with pytest.raises(SanitizerError, match="stale"):
-                exp(Tensor(stale))
-            # A kernel honouring the arena contract takes the slot again
-            # and fully overwrites it — it never sees the poison.  (This
-            # hands back the same ndarray `stale` aliases: that is exactly
-            # the recycling the rule exists to catch.)
-            fresh = ws_empty((4,), np.float64)
-            fresh[:] = 2.0
-            assert fresh is stale
-            assert np.isfinite(exp(Tensor(fresh)).data).all()
-
-
-def test_generation_counter_without_sanitizer():
-    ws = Workspace()
-    assert ws.generation == 0
-    with no_grad():
-        for expected in (1, 2, 3):
-            with use_workspace(ws):
-                pass
-            assert ws.generation == expected
 
 
 # ---------------------------------------------------------------------------

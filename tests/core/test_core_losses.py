@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import tensor as T
 from repro.core import (dense_reconstruction_loss, link_probabilities,
                         pair_logits, sample_non_edges,
                         sampled_reconstruction_loss, self_optimisation_loss,
                         soft_assignment, target_distribution)
-from repro.tensor import Tensor, assert_gradients_close
+from repro.core.losses import _self_optimisation_loss_reference
+from repro.tensor import (Tensor, assert_gradients_close, default_dtype,
+                          naive_kernels)
+
+DTYPES = [np.float32, np.float64]
 
 
 class TestSoftAssignment:
@@ -120,6 +125,50 @@ class TestSelfOptimisationLoss:
             h.data -= 0.1 * h.grad
         after_conf = soft_assignment(h, egos).data.max(axis=1).mean()
         assert after_conf > before_conf
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_self_optimisation_loss_fused_matches_reference(rng, dtype):
+    # No FD gradcheck: the target distribution P is detached by design
+    # (Eq. 5), so finite differences — which perturb through P —
+    # disagree with the intended VJP.  The fused backward is pinned to
+    # the compositional reference, which detaches P the same way.
+    h_data = rng.normal(size=(10, 4)).astype(dtype)
+    egos = np.array([1, 4, 7])
+    atol = 1e-6 if dtype == np.float32 else 1e-13
+    with default_dtype(dtype):   # the reference wraps raw ndarrays
+        ref = Tensor(h_data.copy(), dtype=dtype, requires_grad=True)
+        _self_optimisation_loss_reference(ref, egos, mu=1.0).backward()
+        got = Tensor(h_data.copy(), dtype=dtype, requires_grad=True)
+        self_optimisation_loss(got, egos).backward()
+    np.testing.assert_allclose(got.grad, ref.grad, atol=atol)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_sampled_reconstruction_fast_matches_naive(rng, dtype):
+    # The fused pair-BCE path against the reference kernels on the same
+    # values and the same negative draws (fresh leaves per arm).
+    h_data = rng.normal(size=(12, 4)).astype(dtype)
+    edges = np.array([[0, 1, 2, 5, 8, 9], [1, 2, 3, 6, 9, 10]])
+    atol = 1e-5 if dtype == np.float32 else 1e-12
+
+    def loss_grads(use_naive):
+        T.clear_plan_cache()
+        h = Tensor(h_data.copy(), dtype=dtype, requires_grad=True)
+        sample_rng = np.random.default_rng(3)
+        if use_naive:
+            with naive_kernels():
+                loss = sampled_reconstruction_loss(h, edges, 12, sample_rng)
+                loss.backward()
+        else:
+            loss = sampled_reconstruction_loss(h, edges, 12, sample_rng)
+            loss.backward()
+        return float(loss.data), h.grad.copy()
+
+    ref_loss, ref_grad = loss_grads(use_naive=True)
+    got_loss, got_grad = loss_grads(use_naive=False)
+    assert got_loss == pytest.approx(ref_loss, abs=atol)
+    np.testing.assert_allclose(got_grad, ref_grad, atol=atol)
 
 
 class TestReconstructionLosses:

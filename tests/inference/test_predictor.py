@@ -68,15 +68,18 @@ class TestGraphServing:
         predictor = Predictor(model)
         for batch, structure in pairs:
             predictor.predict_batch(batch, structure)
-        captured = predictor.allocations
-        assert captured > 0
+        captured = predictor.stats()
+        assert captured["captured_structures"] > 0
+        assert captured["structure_hits"] == 0
         for _ in range(3):
             for batch, structure in pairs:
                 predictor.predict_batch(batch, structure)
-        assert predictor.allocations == captured
         stats = predictor.stats()
-        assert stats["hits"] > 0
-        assert stats["structure_hits"] > 0
+        # Every repeat replays the captured plans: nothing new is
+        # captured, and each replay serves every captured stage.
+        assert stats["captured_structures"] == captured["captured_structures"]
+        assert stats["structure_hits"] == 3 * captured["captured_structures"]
+        assert stats["allocations"] == 0
         assert stats["arenas"] == len(pairs)
 
     def test_accuracy_matches_trainer_evaluate(self, served):

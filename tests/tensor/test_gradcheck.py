@@ -200,3 +200,41 @@ def test_property_mlp_block_gradients(n, d, seed):
     ok, message = check_gradients(
         lambda a, b: T.relu(a @ b).sum(axis=0), [x, w])
     assert ok, message
+
+
+def typed_leaf(rng, shape, dtype):
+    return Tensor(rng.normal(size=shape).astype(dtype), dtype=dtype,
+                  requires_grad=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestFusedOpGrads:
+    """Finite-difference checks of the fused ops' hand-derived VJPs at
+    both compute dtypes."""
+
+    def test_pair_dot(self, rng, dtype):
+        x = typed_leaf(rng, (8, 4), dtype)
+        ia = np.array([0, 3, 5, 5, 7])
+        ib = np.array([1, 2, 2, 6, 0])
+        assert_gradients_close(lambda a: T.pair_dot(a, ia, ib), [x])
+
+    def test_rowwise_dot(self, rng, dtype):
+        a = typed_leaf(rng, (6, 4), dtype)
+        b = typed_leaf(rng, (6, 4), dtype)
+        assert_gradients_close(lambda p, q: T.rowwise_dot(p, q), [a, b])
+
+    def test_dropout(self, rng, dtype):
+        x = typed_leaf(rng, (6, 5), dtype)
+        # A fresh fixed-seed generator per forward: every evaluation the
+        # finite differences make draws the same mask.
+        assert_gradients_close(
+            lambda a: T.dropout(a, 0.4, np.random.default_rng(7)), [x])
+
+    def test_gather_scale_segment_sum(self, rng, dtype):
+        x = typed_leaf(rng, (6, 3), dtype)
+        s = typed_leaf(rng, (5,), dtype)
+        cols = np.array([0, 2, 2, 4, 5])
+        ids = np.array([0, 0, 1, 2, 2])
+        assert_gradients_close(
+            lambda a, b: T.gather_scale_segment_sum(a, cols, b, ids, 3),
+            [x, s])

@@ -1,15 +1,15 @@
-"""Grad-mode switching and the inference workspace arena.
+"""Grad-mode switching and the inference workspace's structural plans.
 
 The contract under test: ``no_grad()`` turns every op into a graph-free
 computation with **bitwise-identical** values (the no-grad branch must
 never change arithmetic, only skip tape wiring), and a :class:`Workspace`
-replays a fixed forward's buffer sequence without allocating.
+records a forward's structural stages once and replays them after.
 """
 
 import numpy as np
 import pytest
 
-from repro.tensor import (Tensor, Workspace, active_workspace, concat,
+from repro.tensor import (Tensor, Workspace, concat,
                           enable_grad, gather_rows,
                           gather_scale_segment_sum, grad_enabled,
                           leaky_relu, log_softmax, naive_kernels, no_grad,
@@ -121,43 +121,6 @@ class TestNoGradParity:
 
 
 class TestWorkspace:
-    def test_slot_reuse_same_shapes(self):
-        ws = Workspace()
-        ws.begin()
-        first = ws.take((3, 4), np.float64)
-        ws.begin()
-        second = ws.take((3, 4), np.float64)
-        assert second is first
-        assert ws.allocations == 1
-        assert ws.hits == 1
-
-    def test_shape_mismatch_reallocates(self):
-        ws = Workspace()
-        ws.begin()
-        ws.take((3, 4), np.float64)
-        ws.begin()
-        other = ws.take((5, 4), np.float64)
-        assert other.shape == (5, 4)
-        assert ws.allocations == 2
-        assert ws.hits == 0
-
-    def test_dtype_mismatch_reallocates(self):
-        ws = Workspace()
-        ws.begin()
-        ws.take((3,), np.float64)
-        ws.begin()
-        ws.take((3,), np.float32)
-        assert ws.allocations == 2
-
-    def test_sequence_extends(self):
-        ws = Workspace()
-        ws.begin()
-        a = ws.take((2,), np.float64)
-        b = ws.take((2,), np.float64)
-        assert a is not b
-        assert ws.num_slots == 2
-        assert ws.nbytes == a.nbytes + b.nbytes
-
     def test_requires_no_grad(self):
         with pytest.raises(RuntimeError, match="no_grad"):
             with use_workspace(Workspace()):
@@ -168,14 +131,16 @@ class TestWorkspace:
         with no_grad():
             with use_workspace(outer):
                 with use_workspace(inner):
-                    assert active_workspace() is inner
-                assert active_workspace() is outer
-            assert active_workspace() is None
+                    ws_captured(lambda: "inner")
+                ws_captured(lambda: "outer")
+            ws_captured(lambda: "none active")
+        assert inner.stats()["captured_structures"] == 1
+        assert outer.stats()["captured_structures"] == 1
 
     def test_stats_shape(self):
         stats = Workspace().stats()
-        assert set(stats) == {"allocations", "hits", "slots", "nbytes",
-                              "captured_structures", "structure_hits"}
+        assert stats == {"allocations": 0, "captured_structures": 0,
+                         "structure_hits": 0}
 
 
 class TestStructureCapture:
@@ -185,15 +150,8 @@ class TestStructureCapture:
         assert ws_captured(lambda: calls.append(1) or "y") == "y"
         assert len(calls) == 2
 
-    def test_passthrough_when_capture_disabled(self):
-        calls = []
-        with no_grad(), use_workspace(Workspace()):
-            ws_captured(lambda: calls.append(1))
-            ws_captured(lambda: calls.append(1))
-        assert len(calls) == 2
-
     def test_record_then_replay(self):
-        ws = Workspace(capture_structures=True)
+        ws = Workspace()
         calls = []
 
         def forward():
@@ -211,11 +169,24 @@ class TestStructureCapture:
         assert replayed[1] is captured[1]
         assert ws.structure_hits == 2
         assert ws.stats()["captured_structures"] == 2
+        assert ws.allocations == 0
 
     def test_builder_runs_outside_arena(self):
-        """A captured object must never hold a recyclable buffer slot."""
-        ws = Workspace(capture_structures=True)
-        seen = []
-        with no_grad(), use_workspace(ws):
-            ws_captured(lambda: seen.append(active_workspace()))
-        assert seen == [None]
+        """The builder runs with the workspace deactivated: a stage nested
+        inside it is recorded with the builder's result, not as a plan
+        entry of its own (which would replay out of order)."""
+        ws = Workspace()
+        calls = []
+
+        def outer():
+            inner = ws_captured(lambda: calls.append("inner") or "I")
+            return ("O", inner)
+
+        with no_grad():
+            with use_workspace(ws):
+                first = ws_captured(outer)
+            with use_workspace(ws):
+                again = ws_captured(outer)
+        assert first == again == ("O", "I")
+        assert calls == ["inner"]
+        assert ws.stats()["captured_structures"] == 1

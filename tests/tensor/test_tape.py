@@ -1,11 +1,9 @@
-"""Training tape and grad-enabled workspace arena tests.
+"""Training tape tests.
 
-Covers the PR's replay contract at the unit level: capture records the
-autograd graph and firing order, replay reuses the recorded node objects
-and reproduces gradients bitwise, shape drift is tolerated while dtype
-drift and op-sequence drift raise :class:`TapeInvalid`.  The training
-arena half covers the capacity ratchet, allocation headroom, the
-small-request bypass and the activation guards.
+The replay contract at the unit level: capture records the autograd graph
+and firing order, replay reuses the recorded node objects and reproduces
+gradients bitwise, shape drift is tolerated while dtype drift and
+op-sequence drift raise :class:`TapeInvalid`.
 """
 
 from __future__ import annotations
@@ -14,10 +12,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, default_dtype, relu
-from repro.tensor import workspace as ws_mod
 from repro.tensor.tape import TapeInvalid, TrainingTape
-from repro.tensor.workspace import (Workspace, use_training_workspace,
-                                    use_workspace, ws_empty, ws_zeros)
 
 
 def small_step(w, x):
@@ -128,100 +123,3 @@ class TestTrainingTape:
         tape = TrainingTape()
         stats = tape.stats()
         assert {"nodes", "fired", "captures", "replays"} <= set(stats)
-
-
-class TestTrainingArena:
-    def test_capacity_ratchet_reuses_buffers(self):
-        arena = Workspace(training=True)
-        big = (256, 256)   # above the small-request service floor
-        with use_training_workspace(arena):
-            first = ws_empty(big, np.float64)
-        allocs = arena.allocations
-        assert allocs == 1
-        with use_training_workspace(arena):
-            again = ws_empty(big, np.float64)
-        assert arena.allocations == allocs          # steady state: no allocs
-        assert arena.hits == 1
-        assert again.base is first.base             # same slot storage
-
-    def test_headroom_absorbs_upward_drift(self):
-        arena = Workspace(training=True)
-        with use_training_workspace(arena):
-            ws_empty((256, 256), np.float64)
-        # A request a few rows larger must land inside the ~12.5% headroom
-        # without reallocating (the selection wobble this models).
-        with use_training_workspace(arena):
-            ws_empty((258, 256), np.float64)
-        assert arena.allocations == 1
-
-    def test_small_requests_bypass_slots(self):
-        arena = Workspace(training=True)
-        with use_training_workspace(arena):
-            small = ws_empty((8, 8), np.float64)
-            zeros = ws_zeros((4,), np.float32)
-        assert arena.num_slots == 0
-        assert arena.allocations == 0
-        assert small.shape == (8, 8)
-        np.testing.assert_array_equal(zeros, 0.0)
-
-    def test_grad_buffers_get_distinct_slots_within_a_step(self):
-        arena = Workspace(training=True)
-        big = (256, 256)
-        with use_training_workspace(arena):
-            a = ws_empty(big, np.float64)
-            b = ws_empty(big, np.float64)   # same step: must not alias
-        assert a.base is not b.base
-
-    def test_ws_zeros_rezeros_recycled_slot(self):
-        arena = Workspace(training=True)
-        with use_training_workspace(arena):
-            buf = ws_zeros((256, 256), np.float64)
-            buf += 7.0
-        with use_training_workspace(arena):
-            again = ws_zeros((256, 256), np.float64)
-        np.testing.assert_array_equal(again, 0.0)
-
-    def test_training_guard_on_plain_arena(self):
-        with pytest.raises(RuntimeError, match="training=True"):
-            with use_training_workspace(Workspace()):
-                pass
-
-    def test_inference_activation_rejects_training_grad_mode(self):
-        # the original no-grad contract of inference arenas still holds
-        with pytest.raises(RuntimeError, match="no_grad"):
-            with use_workspace(Workspace()):
-                pass
-
-    def test_dtype_mismatch_reallocates(self):
-        arena = Workspace(training=True)
-        with use_training_workspace(arena):
-            ws_empty((256, 256), np.float64)
-        with use_training_workspace(arena):
-            ws_empty((256, 256), np.float32)
-        assert arena.allocations == 2
-
-    def test_stats_keys(self):
-        arena = Workspace(training=True)
-        stats = arena.stats()
-        assert {"allocations", "hits", "slots", "nbytes"} <= set(stats)
-
-
-class TestTapeWithArena:
-    def test_captured_step_under_arena_matches_plain(self):
-        rng = np.random.default_rng(6)
-        w_data = rng.normal(size=(64, 48))
-        x_data = rng.normal(size=(80, 64))
-        ref = grads_for(w_data, x_data)
-        tape = TrainingTape()
-        arena = Workspace(training=True)
-        results = []
-        for _ in range(3):
-            with use_training_workspace(arena):
-                results.append(grads_for(w_data, x_data, tape))
-        allocs_settled = arena.allocations
-        with use_training_workspace(arena):
-            results.append(grads_for(w_data, x_data, tape))
-        assert arena.allocations == allocs_settled   # zero steady-state
-        for got in results:
-            for a, b in zip(ref, got):
-                np.testing.assert_array_equal(a, b)

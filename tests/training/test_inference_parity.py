@@ -84,14 +84,21 @@ def test_predictor_matches_naive_kernels_float64(name, graphs):
     assert (replayed == reference).all()
 
 
-@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("name", ["adamgnn"])
 def test_steady_state_zero_allocations(name, graphs):
+    # Only AdamGNN captures structural stages; a repeated batch replays
+    # its plan instead of rebuilding it.
     batch = _batch_for(graphs, "float32")
     model = _make_model(name, batch.x.shape[1],
                         np.random.default_rng(11)).astype("float32")
     predictor = Predictor(model)
     predictor.predict_batch(batch)
-    captured = predictor.allocations
+    captured = predictor.stats()
+    assert captured["captured_structures"] > 0
     for _ in range(3):
         predictor.predict_batch(batch)
-    assert predictor.allocations == captured
+    stats = predictor.stats()
+    assert stats["captured_structures"] == captured["captured_structures"]
+    assert stats["structure_hits"] == (captured["structure_hits"]
+                                       + 3 * captured["captured_structures"])
+    assert stats["allocations"] == 0
