@@ -16,24 +16,28 @@ walks the layers backwards from the rows the caller reads:
   its output rows, with columns renumbered to the input rows.
 
 This is the message-flow-block shape of DGL/GraphStorm's
-``forward(blocks, ...)``.  The operator is built once per subgraph from
-raw arrays in scipy's canonical CSR layout — rows by destination,
-sources ascending within a row, duplicates summed — so every kept row's
-sum runs over the same terms in the same order as the full-row product,
-and each pruned aggregation row is bitwise equal to the full one.  The
-caller supplies the operator's edge weights, so the GCN normalisation is
-computed on the whole subgraph, degrees included, exactly as before.
+``forward(blocks, ...)``.  The operator is read once per subgraph in
+scipy's canonical CSR layout — rows by destination, sources ascending
+within a row, duplicates summed — so every kept row's sum runs over the
+same terms in the same order as the full-row product, and each pruned
+aggregation row is bitwise equal to the full one.  A sampled ego-net's
+edge list already is that layout (its keys are sorted and symmetric), so
+its plan sorts nothing.  For GCN the plan also normalises: degrees over
+the whole subgraph, exactly as before, but weights only for the entries
+a block keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..tensor._segment_plans import _sptools
-from .csc import _segment_positions, sorted_unique
+from ..tensor.precision import ACCUM_DTYPE
+from .csc import _segment_positions
+from .normalize import gcn_weight_dtype, inverse_sqrt, out_degree
 
 __all__ = ["CSR", "MessageFlowBlock", "RowPlan", "build_row_plan",
            "canonical_csr", "csr_add", "csr_matmul"]
@@ -171,14 +175,29 @@ class RowPlan:
 
 
 def build_row_plan(edge_index: np.ndarray, edge_weight: np.ndarray,
-                   num_nodes: int, num_outputs: int,
-                   num_layers: int) -> RowPlan:
+                   num_nodes: int, num_outputs: int, num_layers: int,
+                   normalize: bool = False,
+                   indptr: Optional[np.ndarray] = None) -> RowPlan:
     """Plan ``num_layers`` aggregations over ``edge_index`` whose last
     output is rows ``0 .. num_outputs-1``.
 
-    ``edge_weight`` is the operator as the layers consume it (GCN-
-    normalised with self-loops for GCN, raw for mean or attention
-    aggregation); rows are kept in ascending subgraph order.
+    Without ``normalize``, ``edge_weight`` is the operator as the layers
+    consume it (raw for mean or attention aggregation, or already
+    normalised).  With it, ``edge_weight`` is raw and the plan applies
+    GCN's renormalisation ``D̂^-½ (A + I) D̂^-½``: the self-loops join
+    every row, the degrees are the whole graph's (as
+    :func:`~repro.graph.normalize_edges` sums them, validation
+    included), and weights are formed only for the entries a block
+    keeps.  Duplicate edges are summed before they are normalised, so
+    their weights match ``normalize_edges``'s up to rounding; without
+    duplicates they match bit for bit.
+
+    ``indptr`` is the row pointer of a duplicate-free, symmetric edge
+    list sorted by (source, destination), with symmetric weights, such
+    as :meth:`CSCGraph.ego_net` returns (``SampledSubgraph.indptr``).
+    Row ``v``'s destinations are then its sources too, ascending, so the
+    edge list already is the canonical CSR and is not sorted again.
+    Rows are kept in ascending subgraph order.
     """
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
@@ -186,9 +205,22 @@ def build_row_plan(edge_index: np.ndarray, edge_weight: np.ndarray,
         raise ValueError(f"num_outputs must be in [0, {num_nodes}], "
                          f"got {num_outputs}")
     edge_index = np.asarray(edge_index, dtype=np.int64)
-    indptr, indices, data = canonical_csr(edge_index[0], edge_index[1],
-                                          edge_weight, num_nodes, num_nodes)
+    weight = np.asarray(edge_weight)
+    gcn = None
+    if normalize:
+        out_dtype = gcn_weight_dtype(weight)
+        weight = weight.astype(ACCUM_DTYPE, copy=False)
+        degree = out_degree(edge_index, weight, num_nodes)
+        degree[:num_nodes] += 1.0       # the self-loops, summed last
+        gcn = (inverse_sqrt(degree), out_dtype)
+    if indptr is None:
+        indptr, indices, weight = canonical_csr(
+            edge_index[0], edge_index[1], weight, num_nodes, num_nodes)
+    else:
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = edge_index[1]
     lookup = np.empty(num_nodes, dtype=np.int64)
+    mark = np.zeros(num_nodes, dtype=bool)
     rows = np.arange(num_outputs, dtype=np.int64)
     blocks = []
     for _ in range(num_layers):
@@ -196,13 +228,63 @@ def build_row_plan(edge_index: np.ndarray, edge_weight: np.ndarray,
         counts = indptr[rows + 1] - starts
         positions = _segment_positions(starts, counts)
         sources = indices[positions]
-        in_rows = sorted_unique(np.concatenate([rows, sources]))
+        mark[rows] = True
+        mark[sources] = True
+        in_rows = np.flatnonzero(mark)
+        mark[in_rows] = False
+        if gcn is None:
+            data = weight[positions]
+        else:
+            sources, data, counts = _gcn_rows(rows, counts, sources,
+                                              weight[positions], *gcn)
         lookup[in_rows] = np.arange(in_rows.shape[0])
         block_indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=block_indptr[1:])
         blocks.append(MessageFlowBlock(
             rows=rows, self_index=lookup[rows], indptr=block_indptr,
-            indices=lookup[sources], data=data[positions],
+            indices=lookup[sources], data=data,
             num_in=int(in_rows.shape[0])))
         rows = in_rows
     return RowPlan(input_rows=rows, blocks=tuple(reversed(blocks)))
+
+
+def _gcn_rows(rows: np.ndarray, counts: np.ndarray, sources: np.ndarray,
+              weight: np.ndarray, inv_sqrt: np.ndarray, out_dtype: np.dtype,
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``rows`` of ``D̂^-½ (A + I) D̂^-½``, as ``normalize_edges``
+    and the canonical CSR of its output hold them.
+
+    ``sources``/``weight`` are the rows' entries of ``A`` (``counts`` per
+    row, each row's sources ascending).  Each row gains its unit
+    self-loop in sorted place; a row that already holds one keeps one
+    entry, the loop's normalised weight summed onto the edge's, as
+    duplicates are.  Returns the rows' sources, weights and counts.
+    """
+    targets = np.repeat(rows, counts)
+    data = (weight * inv_sqrt[sources]
+            * inv_sqrt[targets]).astype(out_dtype, copy=False)
+    loop = inv_sqrt[rows]
+    loop = (loop * loop).astype(out_dtype)
+    # A row's loop goes after its sources below the row id, where its
+    # own entry is, if it has one.
+    ends = np.cumsum(counts)
+    below = np.zeros(sources.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sources < targets, out=below[1:])
+    at = below[ends] - below[ends - counts]
+    own = at < counts
+    own[own] = sources[(ends - counts + at)[own]] == rows[own]
+    counts = counts + ~own
+    ends = np.cumsum(counts)
+    at += ends - counts
+    added = at[~own]
+    is_edge = np.ones(ends[-1] if ends.size else 0, dtype=bool)
+    is_edge[added] = False
+    edges = np.flatnonzero(is_edge)
+    out_sources = np.empty(is_edge.shape[0], dtype=np.int64)
+    out_sources[edges] = sources
+    out_sources[added] = rows[~own]
+    out_data = np.empty(is_edge.shape[0], dtype=out_dtype)
+    out_data[edges] = data
+    out_data[added] = loop[~own]
+    out_data[at[own]] += loop[own]
+    return out_sources, out_data, counts

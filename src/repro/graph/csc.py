@@ -74,12 +74,17 @@ class SampledSubgraph:
     first, then each hop's frontier in discovery order — and
     ``edge_index`` is the sampled edge set relabelled to local ids
     (``0 .. len(nodes)-1``) and symmetrised, so it feeds straight into
-    the layers' message-passing kernels.
+    the layers' message-passing kernels.  Its edges are distinct and
+    sorted by (source, destination); ``indptr`` is their row pointer, so
+    node ``v``'s edges are columns ``indptr[v]:indptr[v+1]``.  By
+    symmetry their destinations are also ``v``'s in-neighbours, making
+    ``(indptr, edge_index[1])`` the by-destination CSR a row plan reads.
     """
 
     nodes: np.ndarray
     edge_index: np.ndarray
     num_seeds: int
+    indptr: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -91,8 +96,10 @@ class SampledSubgraph:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the node ids and the edge list."""
-        return int(self.nodes.nbytes + self.edge_index.nbytes)
+        """Bytes held by the node ids, the edge list and its row
+        pointer."""
+        return int(self.nodes.nbytes + self.edge_index.nbytes
+                   + self.indptr.nbytes)
 
     def seed_mask(self) -> np.ndarray:
         """Boolean mask over local nodes marking the seed rows."""
@@ -249,7 +256,10 @@ class CSCGraph:
         are all vertices within ``radius`` hops of a seed, and edges are
         every edge incident to a node within ``radius - 1`` hops (both
         directions).  The returned edge set is deduplicated and
-        symmetrised so GCN normalisation's symmetry contract holds.
+        symmetrised so GCN normalisation's symmetry contract holds, and
+        comes sorted by (source, destination) with its row pointer.
+        Each frontier is found by marking the hop's unvisited sources and
+        reading the marks off in order, not by a sort.
         """
         if radius < 1:
             raise ValueError(f"radius must be >= 1, got {radius}")
@@ -258,6 +268,7 @@ class CSCGraph:
             raise IndexError("seed ids out of range")
         visited = np.zeros(self.num_nodes, dtype=bool)
         visited[seeds] = True
+        fresh_mark = np.zeros(self.num_nodes, dtype=bool)
         layers = [seeds]
         src_parts: List[np.ndarray] = []
         dst_parts: List[np.ndarray] = []
@@ -268,25 +279,31 @@ class CSCGraph:
             src, dst = self.sample_neighbors(frontier, fanout, rng)
             src_parts.append(src)
             dst_parts.append(dst)
-            fresh = sorted_unique(src[~visited[src]])
+            # The fresh ids, ascending: marked, then read off in order.
+            fresh_mark[src[~visited[src]]] = True
+            fresh = np.flatnonzero(fresh_mark)
+            fresh_mark[fresh] = False
             visited[fresh] = True
             layers.append(fresh)
             frontier = fresh
         nodes = np.concatenate(layers) if layers else seeds
+        m = nodes.shape[0]
         lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.shape[0])
+        lookup[nodes] = np.arange(m)
         if src_parts:
             src = lookup[np.concatenate(src_parts)]
             dst = lookup[np.concatenate(dst_parts)]
             # Symmetrise + dedupe through one encoded key pass.
-            m = nodes.shape[0]
             keys = sorted_unique(np.concatenate([src * m + dst,
                                                  dst * m + src]))
             edge_index = np.stack([keys // m, keys % m])
         else:
             edge_index = np.zeros((2, 0), dtype=np.int64)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edge_index[0], minlength=m), out=indptr[1:])
         return SampledSubgraph(nodes=nodes, edge_index=edge_index,
-                               num_seeds=int(seeds.shape[0]))
+                               num_seeds=int(seeds.shape[0]),
+                               indptr=indptr)
 
 
 #: Identity-keyed CSC structures (weakly held) + hit/miss counters,

@@ -40,36 +40,65 @@ def normalize_edges(edge_index: np.ndarray, edge_weight: np.ndarray,
     # Degrees and inverse square roots are always formed in ACCUM_DTYPE;
     # the returned weights come back in the input's precision (float64
     # inputs are bitwise unchanged from the pre-policy path).
-    out_dtype = (edge_weight.dtype
-                 if edge_weight.dtype in (np.float32, np.float64)
-                 else np.dtype(ACCUM_DTYPE))
+    out_dtype = gcn_weight_dtype(edge_weight)
     edge_weight = edge_weight.astype(ACCUM_DTYPE, copy=False)
-    if validate and edge_index.size:
-        out_deg = np.bincount(edge_index[0], weights=edge_weight,
-                              minlength=num_nodes)
-        in_deg = np.bincount(edge_index[1], weights=edge_weight,
-                             minlength=num_nodes)
-        # allclose, not exact: pooled hyper-graph weights (S^T Â S) are
-        # symmetric only up to floating-point summation order.
-        if not np.allclose(out_deg, in_deg, rtol=1e-6, atol=1e-9):
-            raise ValueError(
-                "normalize_edges requires a symmetric edge list (every "
-                "undirected edge in both directions): weighted in-degrees "
-                "and out-degrees disagree. Symmetrise the graph (e.g. "
-                "Graph.to_undirected()) or pass validate=False.")
+    degree = out_degree(edge_index, edge_weight, num_nodes, validate)
     if add_self_loops:
         loops = np.arange(num_nodes, dtype=np.int64)
         edge_index = np.concatenate([edge_index, np.stack([loops, loops])],
                                     axis=1)
         edge_weight = np.concatenate(
             [edge_weight, np.ones(num_nodes, dtype=ACCUM_DTYPE)])
+        # Each loop's unit weight summed last, as a bincount over the
+        # concatenated list sums it.
+        degree[:num_nodes] += 1.0
+    inv_sqrt = inverse_sqrt(degree)
     src, dst = edge_index
-    degree = np.bincount(src, weights=edge_weight, minlength=num_nodes)
+    normalized = edge_weight * inv_sqrt[src] * inv_sqrt[dst]
+    return edge_index, normalized.astype(out_dtype, copy=False)
+
+
+def gcn_weight_dtype(edge_weight: np.ndarray) -> np.dtype:
+    """Dtype of the normalised weights: the input's when it is a float
+    dtype, else ``ACCUM_DTYPE``."""
+    return (edge_weight.dtype
+            if edge_weight.dtype in (np.float32, np.float64)
+            else np.dtype(ACCUM_DTYPE))
+
+
+def out_degree(edge_index: np.ndarray, edge_weight: np.ndarray,
+               num_nodes: int, validate: bool = True) -> np.ndarray:
+    """Weighted out-degree of every node, summed in edge order.
+
+    ``validate`` raises ``ValueError`` when the weighted in-degrees
+    disagree, the cheap necessary condition for a symmetric edge list
+    (see :func:`normalize_edges`).
+    """
+    # (An empty bincount comes back int64 whatever the weights.)
+    degree = np.bincount(edge_index[0], weights=edge_weight,
+                         minlength=num_nodes).astype(edge_weight.dtype,
+                                                     copy=False)
+    if validate and edge_index.size:
+        in_deg = np.bincount(edge_index[1], weights=edge_weight,
+                             minlength=num_nodes)
+        # allclose, not exact: pooled hyper-graph weights (S^T Â S) are
+        # symmetric only up to floating-point summation order.
+        if not (np.array_equal(degree, in_deg)
+                or np.allclose(degree, in_deg, rtol=1e-6, atol=1e-9)):
+            raise ValueError(
+                "normalize_edges requires a symmetric edge list (every "
+                "undirected edge in both directions): weighted in-degrees "
+                "and out-degrees disagree. Symmetrise the graph (e.g. "
+                "Graph.to_undirected()) or pass validate=False.")
+    return degree
+
+
+def inverse_sqrt(degree: np.ndarray) -> np.ndarray:
+    """``degree ** -0.5`` where positive, else 0 (isolated nodes)."""
     inv_sqrt = np.zeros_like(degree)
     positive = degree > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
-    normalized = edge_weight * inv_sqrt[src] * inv_sqrt[dst]
-    return edge_index, normalized.astype(out_dtype, copy=False)
+    return inv_sqrt
 
 
 def gcn_edge_weight_parts(edge_index: np.ndarray, edge_weight: np.ndarray,

@@ -74,39 +74,52 @@ class GNNEncoder(Module):
 
     def row_plan(self, edge_index: np.ndarray,
                  edge_weight: Optional[np.ndarray], num_nodes: int,
-                 num_outputs: int) -> Optional[RowPlan]:
+                 num_outputs: int,
+                 indptr: Optional[np.ndarray] = None) -> Optional[RowPlan]:
         """Plan for computing only output rows ``0 .. num_outputs-1``.
 
-        ``None`` when this stack must compute every row (GIN).  The GCN
-        normalisation runs here, on the whole graph, so degrees are the
-        full graph's, exactly as in the unplanned forward.
+        ``None`` when this stack must compute every row (GIN).  For GCN
+        the plan normalises the raw ``edge_weight`` itself: degrees over
+        the whole graph, exactly as in the unplanned forward, weights only
+        for the entries a block keeps.  ``indptr`` is a sampled ego-net's
+        row pointer (``SampledSubgraph.indptr``), which spares the plan
+        its sort; see :func:`~repro.graph.build_row_plan`.
         """
         if self.kind not in _ROW_PRUNABLE:
             return None
         if edge_weight is None:
             edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # structural edge weights are float64 by convention
-        if self.kind in _NEEDS_NORMALIZATION:
-            edge_index, edge_weight = normalize_edges(edge_index, edge_weight,
-                                                      num_nodes)
         return build_row_plan(edge_index, edge_weight, num_nodes,
-                              num_outputs, len(self.convs))
+                              num_outputs, len(self.convs),
+                              normalize=self.kind in _NEEDS_NORMALIZATION,
+                              indptr=indptr)
 
     def forward(self, x: Tensor, edge_index: np.ndarray,
                 edge_weight: Optional[np.ndarray] = None,
                 plan: Optional[RowPlan] = None,
-                num_outputs: Optional[int] = None) -> Tensor:
+                num_outputs: Optional[int] = None,
+                input_nodes: Optional[np.ndarray] = None,
+                indptr: Optional[np.ndarray] = None) -> Tensor:
         """Every row's output, or only rows ``0 .. num_outputs-1``.
 
         The rows come from a ``plan`` built by :meth:`row_plan` on the
         same graph, or from ``num_outputs``, for which this call builds
-        that plan itself (GIN then still returns every row).
+        that plan itself (GIN then still returns every row), passing it
+        ``indptr``.
+
+        With ``input_nodes``, ``x`` is a larger feature matrix and node
+        ``i`` of ``edge_index`` is its row ``input_nodes[i]``: the forward
+        gathers only the rows its first layer reads, once (GraphStorm's
+        ``forward(blocks, input_feats, input_nodes)``).
         """
+        n = x.shape[0] if input_nodes is None else input_nodes.shape[0]
         if plan is None and num_outputs is not None:
-            plan = self.row_plan(edge_index, edge_weight, x.shape[0],
-                                 num_outputs)
+            plan = self.row_plan(edge_index, edge_weight, n, num_outputs,
+                                 indptr)
         if plan is not None:
-            return self._forward_planned(x, plan)
-        n = x.shape[0]
+            return self._forward_planned(x, plan, n, input_nodes)
+        if input_nodes is not None:
+            x = gather_rows(x, input_nodes)
         if edge_weight is None:
             edge_weight = np.ones(edge_index.shape[1], dtype=np.float64)  # structural edge weights are float64 by convention
         if self.kind in _NEEDS_NORMALIZATION:
@@ -120,11 +133,14 @@ class GNNEncoder(Module):
                 h = self.dropout(relu(h))
         return h
 
-    def _forward_planned(self, x: Tensor, plan: RowPlan) -> Tensor:
-        n = x.shape[0]
-        # Rows are ascending subgraph ids, so n of them are all of x.
-        h = x if plan.input_rows.shape[0] == n else \
-            gather_rows(x, plan.input_rows)
+    def _forward_planned(self, x: Tensor, plan: RowPlan, n: int,
+                         input_nodes: Optional[np.ndarray]) -> Tensor:
+        if input_nodes is not None:
+            h = gather_rows(x, input_nodes[plan.input_rows])
+        elif plan.input_rows.shape[0] == n:
+            h = x       # ascending subgraph ids, so n of them are all of x
+        else:
+            h = gather_rows(x, plan.input_rows)
         last = len(self.convs) - 1
         for i, (conv, block) in enumerate(zip(self.convs, plan.blocks)):
             h = conv(h, block=block)
@@ -146,17 +162,22 @@ class GNNNodeClassifier(Module):
 
     def row_plan(self, edge_index: np.ndarray,
                  edge_weight: Optional[np.ndarray], num_nodes: int,
-                 num_outputs: int) -> Optional[RowPlan]:
+                 num_outputs: int,
+                 indptr: Optional[np.ndarray] = None) -> Optional[RowPlan]:
         """See :meth:`GNNEncoder.row_plan`."""
         return self.encoder.row_plan(edge_index, edge_weight, num_nodes,
-                                     num_outputs)
+                                     num_outputs, indptr)
 
     def forward(self, x: Tensor, edge_index: np.ndarray,
                 edge_weight: Optional[np.ndarray] = None,
                 plan: Optional[RowPlan] = None,
-                num_outputs: Optional[int] = None) -> Tensor:
+                num_outputs: Optional[int] = None,
+                input_nodes: Optional[np.ndarray] = None,
+                indptr: Optional[np.ndarray] = None) -> Tensor:
+        """See :meth:`GNNEncoder.forward`."""
         return self.encoder(x, edge_index, edge_weight, plan=plan,
-                            num_outputs=num_outputs)
+                            num_outputs=num_outputs,
+                            input_nodes=input_nodes, indptr=indptr)
 
 
 class GNNLinkPredictor(Module):

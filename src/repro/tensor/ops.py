@@ -311,7 +311,9 @@ def gather_rows(x: ArrayLike, index: np.ndarray) -> Tensor:
     """
     x = _as_tensor(x)
     idx = np.asarray(index, dtype=np.int64)
-    out_data = x.data[idx]
+    # ``take`` copies what fancy indexing copies, in about half the time
+    # on large row gathers.
+    out_data = np.take(x.data, idx, axis=0)
 
     def backward(grad: np.ndarray) -> None:
         if idx.ndim == 1 and _plans.fast_kernels_enabled():
@@ -331,10 +333,13 @@ def dropout(x: ArrayLike, p: float, rng: np.random.Generator,
     """Inverted dropout: zero with probability ``p``, rescale the rest.
 
     A no-op when ``training`` is False or ``p == 0``.  When ``x`` holds
-    only rows ``rows`` of a ``(num_rows, ...)`` block (an output-pruned
-    layer), the mask is drawn at the full block's shape and sliced, so
-    the stream advances exactly as it would for the whole block and each
-    kept row gets the same units.
+    only rows ``rows`` (ascending) of a ``(num_rows, ...)`` block (an
+    output-pruned layer), each kept row gets the units the whole block's
+    mask would give it, and the stream ends where the whole block's draw
+    leaves it.  A ``PCG64`` stream with no buffered 32-bit half spends
+    exactly one 64-bit output per double, so it is advanced over the
+    rows before ``rows[0]``, draws only rows ``rows[0] .. rows[-1]`` and
+    is advanced over the rest; any other stream draws the whole block.
     """
     x = _as_tensor(x)
     if not training or p <= 0.0:
@@ -346,7 +351,8 @@ def dropout(x: ArrayLike, p: float, rng: np.random.Generator,
     if rows is None:
         draw = rng.random(x.data.shape)
     else:
-        draw = rng.random((num_rows,) + x.data.shape[1:])[rows]
+        draw = _row_draw(rng, np.asarray(rows, dtype=np.int64), num_rows,
+                         x.data.shape[1:])
     keep = (draw >= p).astype(x.data.dtype) / (1.0 - p)
     out_data = x.data * keep
 
@@ -354,6 +360,34 @@ def dropout(x: ArrayLike, p: float, rng: np.random.Generator,
         x._accumulate(grad * keep)
 
     return x._make_child(out_data, (x,), backward)
+
+
+def _row_draw(rng: np.random.Generator, rows: np.ndarray, num_rows: int,
+              row_shape: tuple) -> np.ndarray:
+    """Rows ``rows`` of ``rng.random((num_rows,) + row_shape)``, leaving
+    ``rng`` in the state that full draw leaves it in."""
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64 or _holds_half(bitgen):
+        return rng.random((num_rows,) + row_shape)[rows]
+    width = int(np.prod(row_shape, dtype=np.int64))
+    if rows.size == 0:
+        bitgen.advance(num_rows * width)
+        return np.empty((0,) + row_shape)
+    first, last = int(rows.min()), int(rows.max())
+    bitgen.advance(first * width)
+    draw = rng.random((last + 1 - first,) + row_shape)
+    bitgen.advance((num_rows - 1 - last) * width)
+    if (np.diff(rows) == 1).all():
+        return draw                 # ascending and contiguous: the span
+    return draw[rows - first]
+
+
+def _holds_half(bitgen: np.random.PCG64) -> bool:
+    """Whether ``bitgen`` holds a 32-bit half (buffered, or the spent
+    one's stale value), which ``advance`` would reset and a draw of
+    doubles keeps."""
+    state = bitgen.state
+    return bool(state["has_uint32"] or state["uinteger"])
 
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:

@@ -7,6 +7,7 @@ losses ``γ·L_KL + δ·L_R`` for the latter (Eq. 7).
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -41,6 +42,33 @@ SAMPLED_EVAL_EXACT_NODES = 20_000
 #: 2558 → 3120 MB (+22%) to cut eval time ~10%; this budget keeps 47 at
 #: +11% (2850 MB).  Capped validation splits fit in it whole.
 SAMPLED_EVAL_MEMO_BYTES = 256 << 20
+
+
+#: glibc ``mallopt`` settings for sampled fits: its ``M_MMAP_THRESHOLD``
+#: at 32 MiB, the most its own dynamic threshold reaches on 64-bit hosts,
+#: and ``M_TRIM_THRESHOLD`` at twice that, the pairing that heuristic uses.
+_HEAP_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _hold_freed_heap() -> bool:
+    """Keep the heap a sampled step frees for the next step.
+
+    A sampled step on a 10^5-node graph allocates ~40 MB of 10 MB-class
+    arrays and frees them by its end.  Under glibc's default, dynamic
+    thresholds the freed top of the heap went back to the OS after every
+    step and was faulted in again on the next (~4-5k minor faults a
+    step, ~20% of its time on a 2-core x86 VM).  Fixing the thresholds
+    at the values the heuristic itself tops out at keeps that memory
+    mapped; arrays stay bitwise the same.  The setting is process-wide
+    and lasts.  Returns whether the allocator took it (not on hosts
+    without glibc's ``mallopt``).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return all([mallopt(param, value) == 1
+                for param, value in _HEAP_SETTINGS])
 
 
 #: One memoised evaluation batch: its subgraph and, for a model that
@@ -103,18 +131,34 @@ class NodeClassificationTrainer:
             stats["csc_cache"] = csc_cache_stats()
         return stats
 
-    def _forward(self, model: Module, x: Tensor, edge_index: np.ndarray,
-                 edge_weight: np.ndarray, **rows):
-        """The model's forward.  ``rows`` (``num_outputs=`` or ``plan=``,
-        see :meth:`GNNEncoder.forward`) reach only models that can prune
-        rows, those with a ``row_plan``; the others compute every row."""
-        if rows and hasattr(model, "row_plan"):
-            out = model(x, edge_index, edge_weight, **rows)
-        else:
-            out = model(x, edge_index, edge_weight)
+    @staticmethod
+    def _forward(model: Module, *args, **kwargs):
+        """The model's forward as ``(logits, AdamGNNOutput or None)``."""
+        out = model(*args, **kwargs)
         if isinstance(out, tuple):
             return out          # (logits, AdamGNNOutput)
         return out, None
+
+    def _forward_sampled(self, model: Module, features: np.ndarray,
+                         sub: SampledSubgraph, **rows):
+        """The model's forward on ``sub``.
+
+        A model that can prune rows (one with a ``row_plan``) gets the
+        whole cast feature matrix, ``input_nodes=sub.nodes`` and
+        ``indptr=sub.indptr`` plus ``rows`` (``num_outputs=`` or
+        ``plan=``, see :meth:`GNNEncoder.forward`): it gathers the rows
+        its plan reads inside its forward.  The others get the
+        subgraph's rows and compute every row.
+        """
+        dtype = self.config.dtype
+        weight = np.ones(sub.num_edges, dtype=np.dtype(dtype))
+        if hasattr(model, "row_plan"):
+            return self._forward(model, Tensor(features, dtype=dtype),
+                                 sub.edge_index, weight,
+                                 input_nodes=sub.nodes, indptr=sub.indptr,
+                                 **rows)
+        return self._forward(model, Tensor(features[sub.nodes], dtype=dtype),
+                             sub.edge_index, weight)
 
     def fit(self, model: Module, dataset: NodeDataset) -> NodeTrainResult:
         if self.config.sampled:
@@ -173,16 +217,18 @@ class NodeClassificationTrainer:
                   edge_weight: np.ndarray) -> Optional[RowPlan]:
         """The seed rows' plan when ``model`` can prune rows, else None.
 
-        Flat GCN/SAGE/GAT stacks plan; GIN (BatchNorm over every row) and
-        AdamGNN (Eq. 5-6 terms over every row) return or have no plan.
-        Training steps instead pass ``num_outputs`` and let the model
-        plan inside its forward, so the build is timed with it.
+        Flat GCN/SAGE/GAT stacks plan, reading the subgraph's CSR
+        (``sub.indptr``) so nothing is sorted; GIN (BatchNorm over every
+        row) and AdamGNN (Eq. 5-6 terms over every row) return or have no
+        plan.  Evaluation memoises this plan with its subgraph; training
+        steps instead pass ``num_outputs`` and let the model plan inside
+        its forward, so the build is timed with it.
         """
         planner = getattr(model, "row_plan", None)
         if planner is None:
             return None
         return planner(sub.edge_index, edge_weight, sub.num_nodes,
-                       sub.num_seeds)
+                       sub.num_seeds, sub.indptr)
 
     def _sampled_step(self, model: Module, sampler: NeighborSampler,
                       csc: CSCGraph, seeds: np.ndarray,
@@ -197,11 +243,9 @@ class NodeClassificationTrainer:
         so a capture key would never recur.
         """
         sub = sampler.sample(csc, seeds, rng_b)
-        x_sub = Tensor(features[sub.nodes], dtype=self.config.dtype)
-        sub_weight = np.ones(sub.num_edges, dtype=np.dtype(self.config.dtype))
         model.zero_grad()
-        logits, extra = self._forward(model, x_sub, sub.edge_index,
-                                      sub_weight, num_outputs=sub.num_seeds)
+        logits, extra = self._forward_sampled(model, features, sub,
+                                              num_outputs=sub.num_seeds)
         # Every subgraph row, or with a plan the seed rows only.
         rows = logits.shape[0]
         loss = adamgnn_loss(
@@ -254,10 +298,8 @@ class NodeClassificationTrainer:
                     memo[b] = entry
                     memo_bytes += size
             sub, plan = entry
-            x_sub = Tensor(features[sub.nodes], dtype=cfg.dtype)
-            sub_weight = np.ones(sub.num_edges, dtype=weight_dtype)
-            logits, _ = self._forward(model, x_sub, sub.edge_index,
-                                      sub_weight, plan=plan)
+            logits, _ = self._forward_sampled(model, features, sub,
+                                              plan=plan)
             pred = logits.data[:sub.num_seeds].argmax(axis=1)
             correct += int((pred == labels[sub.nodes[:sub.num_seeds]]).sum())
         return correct / max(idx.size, 1)
@@ -266,6 +308,7 @@ class NodeClassificationTrainer:
                      dataset: NodeDataset) -> NodeTrainResult:
         """Minibatch training over sampled ego-nets (O(batch) per step)."""
         cfg = self.config
+        _hold_freed_heap()
         graph = dataset.graph
         # The fit reads the graph through its CSC structure, its labels and
         # the feature rows each batch gathers; only the features are cast

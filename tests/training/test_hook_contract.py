@@ -6,7 +6,8 @@ stamps epochs at ``EarlyStopping.step`` and times sampled batches at
 ``NeighborSampler.sample``.  A trainer that calls a reference bound
 anywhere else bypasses the wrapper and the suite's spans silently read 0.
 These fits wrap the same names with counters and check that every one
-fires on the paths that call it.
+fires on the paths that call it, and that a sampled step's feature
+gather runs inside the ``model.forward`` the suite times.
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ from repro.datasets import (GraphDataset, NodeDataset, SBMConfig,
                             generate_sbm_graph, load_graph_dataset,
                             split_graphs, split_nodes)
 from repro.models import GNNNodeClassifier
+from repro.tensor import Tensor, grad_enabled
 from repro.training import (EarlyStopping, GraphClassificationTrainer,
-                            NodeClassificationTrainer, TrainConfig)
+                            NodeClassificationTrainer, TrainConfig,
+                            prepare_node_features)
 from repro.training import graph_trainer, node_trainer, samplers
 
 HOOKED = ("cross_entropy", "self_optimisation_loss",
@@ -129,3 +132,48 @@ def test_sampled_fit_calls_sampler_once_per_step(monkeypatch, tiny_nodes):
         node_batch_size=16, fanout=5, num_hops=2)).fit(model, tiny_nodes)
     assert result.steps_per_epoch > 1
     assert counts["sample"] == result.epochs_run * result.steps_per_epoch
+
+
+def test_sampled_gcn_forward_gathers_its_own_rows(monkeypatch):
+    # The suite times ``model.forward`` by patching it (on the instance);
+    # the class's forward is patched here.  A sampled step and a sampled
+    # evaluation hand it the whole cast feature matrix and the subgraph's
+    # ``input_nodes``, so the feature gather runs, and is timed, inside
+    # the forward.  The trainer wraps no subgraph-sized tensor itself.
+    cfg = SBMConfig(num_nodes=400, num_classes=2, communities_per_class=2,
+                    subs_per_community=2, p_sub=0.04, p_comm=0.01,
+                    p_class=0.005, p_out=0.001, num_features=24,
+                    words_per_node=12, topic_noise=0.2)
+    graph = generate_sbm_graph(cfg, seed=0)
+    dataset = NodeDataset("sparse", graph, 2, split_nodes(
+        graph.num_nodes, np.random.default_rng(0)))
+    seen = []
+    original = GNNNodeClassifier.forward
+
+    def recording(self, x, *args, **kwargs):
+        seen.append((x.data, kwargs.get("input_nodes"), grad_enabled()))
+        return original(self, x, *args, **kwargs)
+    monkeypatch.setattr(GNNNodeClassifier, "forward", recording)
+    wrapped = []
+
+    def recording_tensor(data, *args, **kwargs):
+        wrapped.append(np.shape(data))
+        return Tensor(data, *args, **kwargs)
+    monkeypatch.setattr(node_trainer, "Tensor", recording_tensor)
+    model = GNNNodeClassifier("gcn", 24, 2, hidden=16,
+                              rng=np.random.default_rng(0))
+    result = NodeClassificationTrainer(TrainConfig(
+        epochs=EPOCHS, patience=EPOCHS, seed=0, sampled=True,
+        node_batch_size=16, fanout=2, num_hops=2)).fit(model, dataset)
+    features = prepare_node_features(dataset).astype(np.float32)
+    steps = [call for call in seen if call[2]]
+    evaluations = [call for call in seen if not call[2]]
+    assert len(steps) == result.epochs_run * result.steps_per_epoch
+    assert evaluations
+    for data, input_nodes, _ in seen:
+        assert data.dtype == np.float32
+        assert np.array_equal(data, features)
+        assert input_nodes is not None
+    # Subgraphs are smaller than the graph, so a wrapped gather would show.
+    assert all(call[1].size < graph.num_nodes for call in steps)
+    assert wrapped and all(shape[0] == graph.num_nodes for shape in wrapped)
