@@ -7,7 +7,6 @@ losses ``γ·L_KL + δ·L_R`` for the latter (Eq. 7).
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -42,33 +41,6 @@ SAMPLED_EVAL_EXACT_NODES = 20_000
 #: 2558 → 3120 MB (+22%) to cut eval time ~10%; this budget keeps 47 at
 #: +11% (2850 MB).  Capped validation splits fit in it whole.
 SAMPLED_EVAL_MEMO_BYTES = 256 << 20
-
-
-#: glibc ``mallopt`` settings for sampled fits: its ``M_MMAP_THRESHOLD``
-#: at 32 MiB, the most its own dynamic threshold reaches on 64-bit hosts,
-#: and ``M_TRIM_THRESHOLD`` at twice that, the pairing that heuristic uses.
-_HEAP_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
-
-
-def _hold_freed_heap() -> bool:
-    """Keep the heap a sampled step frees for the next step.
-
-    A sampled step on a 10^5-node graph allocates ~40 MB of 10 MB-class
-    arrays and frees them by its end.  Under glibc's default, dynamic
-    thresholds the freed top of the heap went back to the OS after every
-    step and was faulted in again on the next (~4-5k minor faults a
-    step, ~20% of its time on a 2-core x86 VM).  Fixing the thresholds
-    at the values the heuristic itself tops out at keeps that memory
-    mapped; arrays stay bitwise the same.  The setting is process-wide
-    and lasts.  Returns whether the allocator took it (not on hosts
-    without glibc's ``mallopt``).
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    return all([mallopt(param, value) == 1
-                for param, value in _HEAP_SETTINGS])
 
 
 #: One memoised evaluation batch: its subgraph and, for a model that
@@ -308,7 +280,6 @@ class NodeClassificationTrainer:
                      dataset: NodeDataset) -> NodeTrainResult:
         """Minibatch training over sampled ego-nets (O(batch) per step)."""
         cfg = self.config
-        _hold_freed_heap()
         graph = dataset.graph
         # The fit reads the graph through its CSC structure, its labels and
         # the feature rows each batch gathers; only the features are cast

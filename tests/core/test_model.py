@@ -80,10 +80,10 @@ class TestAdamGNNEncoder:
                     two_cliques_graph.edge_index)
         out.h.sum().backward()
         # The load-bearing parameter groups all receive gradient signal.
-        for param in (model.input_conv.linear.weight,
+        for param in (model.input_conv.weight,
                       model.flyback.attention,
                       model.poolers[0].fitness.attention,
-                      model.level_convs[0].linear.weight):
+                      model.level_convs[0].weight):
             assert param.grad is not None
             assert np.abs(param.grad).sum() > 0
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.graph import gcn_normalization
+import repro.layers.gcn as gcn_module
+from repro.graph import build_row_plan, gcn_normalization, normalize_edges
 from repro.layers import (GATConv, GCNConv, GINConv, SAGEConv, gin_mlp,
                           global_max, global_mean, global_sum,
                           mean_max_readout, propagate)
-from repro.tensor import Tensor, assert_gradients_close
+from repro.tensor import (Tensor, assert_gradients_close, check_gradients,
+                          default_dtype)
 
 
 class TestPropagate:
@@ -48,7 +50,7 @@ class TestGCNConv:
 
     def test_identity_weight_recovers_operator(self, triangle_graph):
         conv = GCNConv(4, 4, bias=False, rng=np.random.default_rng(0))
-        conv.linear.weight.data = np.eye(4)
+        conv.weight.data = np.eye(4)
         edges, weight = gcn_normalization(triangle_graph)
         out = conv(Tensor(np.eye(4)), edges, weight)
         # Output row i = normalised operator row i.
@@ -61,8 +63,133 @@ class TestGCNConv:
         edges, weight = gcn_normalization(triangle_graph)
         out = conv(Tensor(triangle_graph.x), edges, weight)
         out.sum().backward()
-        assert conv.linear.weight.grad is not None
-        assert np.abs(conv.linear.weight.grad).sum() > 0
+        assert conv.weight.grad is not None
+        assert np.abs(conv.weight.grad).sum() > 0
+
+
+
+def weighted_graph(num_nodes, num_undirected, seed, isolated=2):
+    """Symmetric weighted edges among the first ``num_nodes - isolated``
+    nodes; the last ``isolated`` nodes have no edge."""
+    rng = np.random.default_rng(seed)
+    linked = num_nodes - isolated
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, linked,
+                                                    (num_undirected, 2))
+             if p[0] != p[1]}
+    src, dst = np.array(sorted(pairs), dtype=np.int64).T
+    weight = rng.uniform(0.2, 2.0, src.shape[0])
+    edge_index = np.stack([np.concatenate([src, dst]),
+                           np.concatenate([dst, src])])
+    return edge_index, np.concatenate([weight, weight])
+
+
+def dense_eq1(edge_index, edge_weight, num_nodes, x, weight, bias):
+    """``D̂^-½ (A + I) D̂^-½ X W + b`` on dense float64 matrices."""
+    adj = np.eye(num_nodes)
+    np.add.at(adj, (edge_index[1], edge_index[0]), edge_weight)
+    scale = 1.0 / np.sqrt(adj.sum(axis=1))
+    operator = scale[:, None] * adj * scale[None, :]
+    return (operator @ np.asarray(x, np.float64)
+            @ np.asarray(weight, np.float64) + np.asarray(bias, np.float64))
+
+
+def run_conv(monkeypatch, conv, *args, **kwargs):
+    """``conv(*args, **kwargs)`` and the order it took: ``"aggregate"``
+    when its one affine carried the bias, else ``"transform"``."""
+    biased = []
+    original = gcn_module.affine
+
+    def spy(x, weight, bias):
+        biased.append(bias is not None)
+        return original(x, weight, bias)
+
+    monkeypatch.setattr(gcn_module, "affine", spy)
+    out = conv(*args, **kwargs)
+    assert len(biased) == 1
+    return out, "aggregate" if biased[0] else "transform"
+
+
+def random_conv(d_in, d_out, dtype):
+    conv = GCNConv(d_in, d_out, rng=np.random.default_rng(1)).astype(dtype)
+    conv.bias.data[:] = np.random.default_rng(2).standard_normal(
+        d_out).astype(dtype)
+    return conv
+
+
+class TestGCNConvEq1:
+    """``GCNConv`` is Eq. 1, ``D̂^-½ÂD̂^-½XW + b``, in either product
+    order."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("d_in,d_out,order", [(3, 7, "aggregate"),
+                                                  (7, 3, "transform"),
+                                                  (5, 5, "transform")])
+    def test_full_graph_matches_dense(self, monkeypatch, dtype, d_in, d_out,
+                                      order):
+        num_nodes = 12
+        edge_index, edge_weight = weighted_graph(num_nodes, 20, 0)
+        conv = random_conv(d_in, d_out, dtype)
+        x_data = np.random.default_rng(3).standard_normal(
+            (num_nodes, d_in)).astype(dtype)
+        norm_index, norm_weight = normalize_edges(
+            edge_index, edge_weight.astype(dtype), num_nodes)
+        with default_dtype(dtype):
+            out, taken = run_conv(monkeypatch, conv, Tensor(x_data),
+                                  norm_index, norm_weight,
+                                  num_nodes=num_nodes)
+        assert taken == order
+        assert out.data.dtype == np.dtype(dtype)
+        want = dense_eq1(edge_index, edge_weight, num_nodes, x_data,
+                         conv.weight.data, conv.bias.data)
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("d_in,d_out,order", [(4, 4, "aggregate"),
+                                                  (16, 1, "transform")])
+    def test_block_matches_dense(self, monkeypatch, dtype, d_in, d_out,
+                                 order):
+        num_nodes, num_outputs = 60, 4
+        edge_index, edge_weight = weighted_graph(num_nodes, 400, 1)
+        plan = build_row_plan(edge_index, edge_weight, num_nodes,
+                              num_outputs, 1, normalize=True)
+        block = plan.blocks[0]
+        assert block.num_in > 8 * block.num_out
+        conv = random_conv(d_in, d_out, dtype)
+        x_data = np.random.default_rng(4).standard_normal(
+            (num_nodes, d_in)).astype(dtype)
+        with default_dtype(dtype):
+            out, taken = run_conv(monkeypatch, conv,
+                                  Tensor(x_data[plan.input_rows]),
+                                  block=block)
+        assert taken == order
+        assert out.data.dtype == np.dtype(dtype)
+        want = dense_eq1(edge_index, edge_weight, num_nodes, x_data,
+                         conv.weight.data, conv.bias.data)[block.rows]
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+
+    def test_bias_is_not_scaled_by_degree(self):
+        # Path 0-1-2-3: the normalised rows sum to 0.908 and 1.075, so a
+        # bias added before aggregation would read those.
+        edge_index = np.array([[0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]])
+        norm_index, norm_weight = normalize_edges(edge_index, np.ones(6), 4)
+        for d_in, d_out in [(2, 5), (5, 2)]:
+            conv = GCNConv(d_in, d_out, rng=np.random.default_rng(0))
+            conv.weight.data[:] = 0.0
+            conv.bias.data[:] = 1.0
+            out = conv(Tensor(np.ones((4, d_in))), norm_index, norm_weight)
+            assert np.array_equal(out.data, np.ones((4, d_out)))
+
+    @pytest.mark.parametrize("d_in,d_out", [(3, 6), (6, 3)])
+    def test_gradients_in_each_order(self, d_in, d_out):
+        edge_index, edge_weight = weighted_graph(9, 14, 5)
+        norm_index, norm_weight = normalize_edges(edge_index, edge_weight, 9)
+        conv = random_conv(d_in, d_out, "float64")
+        x = Tensor(np.random.default_rng(6).standard_normal((9, d_in)),
+                   dtype="float64", requires_grad=True)
+        ok, message = check_gradients(
+            lambda t, w, b: conv(t, norm_index, norm_weight) ** 2,
+            [x, conv.weight, conv.bias])
+        assert ok, message
 
 
 class TestSAGEConv:

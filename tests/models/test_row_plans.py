@@ -77,7 +77,8 @@ def assert_pruned_matches_full(kind, sub, x, num_layers=2,
     assert not pruned[3][~needed].any()
     assert not full[3][~needed].any()
     np.testing.assert_allclose(pruned[3], full[3], rtol=1e-5, atol=1e-7)
-    # The dropout mask was drawn at full shape: the streams agree.
+    # A planned layer advances the PCG64 stream over the rows it drops
+    # and draws only the kept span: the streams agree.
     assert (twin.encoder.dropout.rng.bit_generator.state
             == model.encoder.dropout.rng.bit_generator.state)
 
@@ -171,3 +172,38 @@ def test_gin_computes_every_row():
                           sub.num_seeds) is None
     out = model(Tensor(x), sub.edge_index, num_outputs=sub.num_seeds)
     assert out.shape == (sub.num_nodes, 3)
+
+
+def test_sampled_gcn_layer_one_aggregates_before_it_transforms(monkeypatch):
+    # Layer 1 of a radius-2 step reads every subgraph row and keeps far
+    # fewer, so GCNConv aggregates first: its GEMM sees the kept rows
+    # only, and its SpMM reads the features, which need no gradient, so
+    # the SpMM has no backward.
+    import repro.layers.gcn as gcn
+    seen = []
+    original = gcn.affine
+
+    def spy(x, weight, bias):
+        seen.append(x)
+        return original(x, weight, bias)
+
+    monkeypatch.setattr(gcn, "affine", spy)
+    edge_index = random_symmetric_graph(400, 1600, 0)
+    csc = CSCGraph.from_edge_index(edge_index, 400)
+    sub = csc.ego_net(np.arange(0, 400, 13), 2, 4, np.random.default_rng(0))
+    features = np.random.default_rng(1).standard_normal(
+        (400, FEATURES)).astype(np.float32)
+    model = GNNNodeClassifier("gcn", FEATURES, 3, hidden=8,
+                              rng=np.random.default_rng(0)).astype("float32")
+    weight = np.ones(sub.num_edges, dtype=np.float32)
+    plan = model.row_plan(sub.edge_index, weight, sub.num_nodes,
+                          sub.num_seeds, sub.indptr)
+    logits = model(Tensor(features, dtype="float32"), sub.edge_index,
+                   weight, plan=plan, input_nodes=sub.nodes)
+    cross_entropy(logits, np.zeros(sub.num_seeds, dtype=np.int64)).backward()
+    assert plan.blocks[0].num_out < plan.input_rows.shape[0]
+    layer_one = seen[0]
+    assert layer_one.shape[0] == plan.blocks[0].num_out
+    assert not layer_one.requires_grad
+    assert not any(p.requires_grad for p in layer_one._parents)
+    assert all(p.grad is not None for p in model.parameters())

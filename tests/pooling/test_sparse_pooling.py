@@ -111,7 +111,7 @@ class TestSAGPooling:
             Tensor(two_cliques_graph.x), two_cliques_graph.edge_index,
             two_cliques_graph.edge_weight, batch, 1)
         assert new_x.shape == (4, 4)
-        assert pool.score_conv.linear.weight.data.shape == (4, 1)
+        assert pool.score_conv.weight.data.shape == (4, 1)
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):

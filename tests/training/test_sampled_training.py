@@ -211,23 +211,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="fanout"):
             NeighborSampler(0, 2)
 
-
-def test_held_heap_is_reused_without_page_faults():
-    # A sampled fit fixes glibc's thresholds so the arrays a step frees
-    # stay mapped for the next step: reallocating a freed 20 MB array
-    # then faults in no fresh pages.  Under the default thresholds the
-    # second allocation grows the heap afresh (~500 faults here, with
-    # transparent huge pages).
-    import resource
-    from repro.training.node_trainer import _hold_freed_heap
-    if not _hold_freed_heap():
-        pytest.skip("the allocator has no glibc mallopt")
-
-    def faults_of_one_array():
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        block = np.ones(20 << 20, dtype=np.uint8)
-        del block
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-    faults_of_one_array()
-    assert faults_of_one_array() < 50
