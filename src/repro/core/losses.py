@@ -203,12 +203,17 @@ def _edge_codes(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
 
 
 def _is_edge(codes: np.ndarray, existing: np.ndarray) -> np.ndarray:
-    """Membership of ``codes`` in the sorted ``existing`` array."""
+    """Membership of ``codes`` in the sorted ``existing`` array.  Sorted
+    queries let each binary search start where the last ended (~2x)."""
     if existing.size == 0:
         return np.zeros(codes.shape, dtype=bool)
-    pos = np.searchsorted(existing, codes)
+    order = np.argsort(codes)
+    ranked = codes[order]
+    pos = np.searchsorted(existing, ranked)
     pos[pos == existing.size] = existing.size - 1
-    return existing[pos] == codes
+    found = np.empty(codes.shape, dtype=bool)
+    found[order] = existing[pos] == ranked
+    return found
 
 
 def sample_non_edges(edge_index: np.ndarray, num_nodes: int, count: int,
@@ -292,44 +297,24 @@ def sampled_reconstruction_loss(h: Tensor, edge_index: np.ndarray,
     return _pair_bce_fused(h, positives, negatives)
 
 
-def _pair_ids(pairs: np.ndarray):
-    """Flat ``[u..., v...]`` ids of a ``(2, P)`` pair array, identity-stable.
-
-    C-contiguous pair arrays (composed batch edge lists, freshly stacked
-    negative samples) flatten to a zero-copy view over the same memory, so
-    the pointer-keyed segment-plan cache keeps hitting for a stable pair
-    list; strided views go through the pinned concatenation cache instead.
-    """
-    if pairs.flags["C_CONTIGUOUS"]:
-        return pairs.reshape(-1)
-    from ..tensor import _segment_plans as _plans
-    return _plans.joined_pair_ids(pairs[0], pairs[1])
-
-
 def _pair_bce_fused(h: Tensor, positives: np.ndarray,
                     negatives: np.ndarray) -> Tensor:
     """One autograd node for the sampled decoder BCE.
 
-    Scoring positives and negatives separately keeps their gathers on the
-    cached segment plans (the positive pair rows are views of a static
-    edge list), while the fusion drops the concat node, the two pair-dot
-    nodes and their retained ``(P, d)`` gathers from the graph.  The
-    backward pushes the BCE residual ``σ(logit) − target`` straight into
-    the pair-dot VJP scatters — one fused scatter per pair list over the
-    flattened ``[u, v]`` ids, reusing the forward's gathered rows and
-    ``e^{−|logit|}`` instead of recomputing them.  The negative ids are
-    fresh every step, so halving their plan builds (and keeping the
-    positive plan on one cached identity) is the dominant saving.
+    The fusion drops the concat node and the two pair-dot nodes from the
+    graph, and the logits are taken in row blocks, so no ``(P, d)`` gather
+    outlives the forward.  The backward pushes the BCE residual
+    ``σ(logit) − target`` straight into the pair-dot VJP — one
+    gather-scale-scatter per pair list, reusing the forward's
+    ``e^{−|logit|}``.  The negative ids are fresh every step; the scatter
+    builds its weighted CSR matrix from them directly, with no cached plan.
     """
     from ..tensor import _segment_plans as _plans
     data = h.data
-    n = data.shape[0]
     pu, pv = positives[0], positives[1]
     nu, nv = negatives[0], negatives[1]
-    xpu, xpv = data[pu], data[pv]
-    xnu, xnv = data[nu], data[nv]
-    pos_logits = np.einsum("ij,ij->i", xpu, xpv)
-    neg_logits = np.einsum("ij,ij->i", xnu, xnv)
+    pos_logits = _plans.gathered_dot(data, pu, data, pv)
+    neg_logits = _plans.gathered_dot(data, nu, data, nv)
     count = pos_logits.shape[0] + neg_logits.shape[0]
     ep = np.exp(-np.abs(pos_logits))
     en = np.exp(-np.abs(neg_logits))
@@ -348,18 +333,8 @@ def _pair_bce_fused(h: Tensor, positives: np.ndarray,
         scale = float(grad) / count
         sig_p = np.where(pos_logits >= 0, 1.0, ep) / (1.0 + ep)
         sig_n = np.where(neg_logits >= 0, 1.0, en) / (1.0 + en)
-        rp = ((sig_p - 1.0) * scale)[:, None]
-        rn = (sig_n * scale)[:, None]
-        p = pos_logits.shape[0]
-        vals = np.empty((2 * p,) + data.shape[1:], dtype=rp.dtype)
-        np.multiply(rp, xpv, out=vals[:p])
-        np.multiply(rp, xpu, out=vals[p:])
-        gh = _plans.scatter_add_rows(vals, _pair_ids(positives), n)
-        q = neg_logits.shape[0]
-        vals = np.empty((2 * q,) + data.shape[1:], dtype=rn.dtype)
-        np.multiply(rn, xnv, out=vals[:q])
-        np.multiply(rn, xnu, out=vals[q:])
-        gh += _plans.scatter_add_rows(vals, _pair_ids(negatives), n)
+        gh = _plans.pair_scatter(h.data, (sig_p - 1.0) * scale, pu, pv)
+        gh += _plans.pair_scatter(h.data, sig_n * scale, nu, nv)
         h._accumulate(gh)
 
     return h._make_child(out_data, (h,), backward)

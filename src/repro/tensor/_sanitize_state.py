@@ -38,7 +38,7 @@ def check_segment_inputs(op: str, values: np.ndarray,
                          segment_ids: np.ndarray) -> None:
     """Dtype-contract assertions for segment-kernel inputs.
 
-    The segment plans cache per-ids argsorts and CSR scatter matrices and
+    The segment plans cache per-ids counting sorts (CSR row pointers) and
     the reductions assume policy-supported float values with int64 ids; a
     float16/longdouble array sneaking in would silently take the slow
     ufunc paths (or upcast downstream).  Called by the public segment

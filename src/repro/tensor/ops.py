@@ -316,7 +316,7 @@ def gather_rows(x: ArrayLike, index: np.ndarray) -> Tensor:
     out_data = np.take(x.data, idx, axis=0)
 
     def backward(grad: np.ndarray) -> None:
-        if idx.ndim == 1 and _plans.fast_kernels_enabled():
+        if idx.ndim == 1:
             x._accumulate(_plans.scatter_add_rows(grad, idx,
                                                   x.data.shape[0]))
         else:
@@ -438,9 +438,9 @@ def pair_dot(x: ArrayLike, index_a: np.ndarray,
     the compositional spelling creates three graph nodes and four
     ``(P, d)`` temporaries on the backward pass, while the pair lists this
     op serves (decoder logits over sampled edges, the ``f_φ^c`` linearity
-    term over ego-network pairs) sit on the training hot path.  The fused
-    backward is the exact same vector-Jacobian product: scatter
-    ``g_p · x[b_p]`` into rows ``a_p`` and ``g_p · x[a_p]`` into ``b_p``.
+    term over ego-network pairs) sit on the training hot path.  No
+    ``(P, d)`` gather is kept; the backward scatters ``g_p · x[b_p]`` into
+    rows ``a_p`` and ``g_p · x[a_p]`` into ``b_p`` as one product.
     """
     x = _as_tensor(x)
     idx_a = np.asarray(index_a, dtype=np.int64)
@@ -448,30 +448,10 @@ def pair_dot(x: ArrayLike, index_a: np.ndarray,
     if idx_a.shape != idx_b.shape or idx_a.ndim != 1:
         raise ValueError(f"pair_dot expects matching 1-D index arrays, got "
                          f"{idx_a.shape} and {idx_b.shape}")
-    xa = x.data[idx_a]
-    xb = x.data[idx_b]
-    out_data = np.einsum("ij,ij->i", xa, xb)
+    out_data = _plans.gathered_dot(x.data, idx_a, x.data, idx_b)
 
     def backward(grad: np.ndarray) -> None:
-        g = grad[:, None]
-        n = x.data.shape[0]
-        if _plans.fast_kernels_enabled():
-            # One scatter over the concatenated [a-ids, b-ids] instead of
-            # two over the halves: one plan/CSR sweep, one accumulator.
-            # The joined ids are identity-cached, so stable pair lists
-            # keep hitting one cached plan across steps.
-            p = idx_a.shape[0]
-            vals = np.empty((2 * p,) + xb.shape[1:],
-                            dtype=np.result_type(g, xb))
-            np.multiply(g, xb, out=vals[:p])
-            np.multiply(g, xa, out=vals[p:])
-            gx = _plans.scatter_add_rows(
-                vals, _plans.joined_pair_ids(idx_a, idx_b), n)
-        else:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx_a, g * xb)
-            np.add.at(gx, idx_b, g * xa)
-        x._accumulate(gx)
+        x._accumulate(_plans.pair_scatter(x.data, grad, idx_a, idx_b))
 
     return x._make_child(out_data, (x,), backward)
 

@@ -10,11 +10,14 @@ output segment; segments need not be sorted or contiguous.  Empty segments
 yield zeros (sum/mean) or zeros (max, by convention, so that isolated nodes
 keep a well-defined state).
 
-Since the Table-4 performance pass, every reduction runs through a
-:class:`~repro.tensor._segment_plans.SegmentReductionPlan` — the ids array
-is argsorted once, cached by memory identity, and each forward *and*
-backward reduction over it is a single ``ufunc.reduceat`` sweep instead of
-an unbuffered ``np.add.at`` / ``np.maximum.at`` scatter loop.  The original
+Every reduction runs through a
+:class:`~repro.tensor._segment_plans.SegmentReductionPlan`: the ids array
+is counting-sorted once and cached by memory identity, and each forward
+*and* backward reduction over it is a single sparse-dense product or
+``ufunc.reduceat`` sweep instead of an unbuffered ``np.add.at`` /
+``np.maximum.at`` scatter loop.  :func:`gather_scale_segment_sum` needs no
+plan: both of its directions are one weighted-CSR product
+(:func:`repro.tensor._segment_plans.gather_scale_scatter`).  The original
 scatter-loop kernels are retained (reachable via
 :func:`repro.tensor._segment_plans.naive_kernels`) so the test suite can
 check the fast paths against the old semantics on identical inputs.
@@ -142,13 +145,14 @@ def gather_scale_segment_sum(x: ArrayLike, gather_ids: np.ndarray,
     (``S @ H``) and of the attention-weighted hyper-node pooling: row ``p``
     of the implicit message matrix is ``scale_p · x[gather_ids_p]``,
     reduced into ``segment_ids_p``.  Both ``x`` and ``scale`` may carry
-    gradients.  The compositional spelling builds three graph nodes and
-    four ``(P, d)`` temporaries on the backward pass; the fused node does
-    the same vector-Jacobian products in two passes.
+    gradients.  The fused node builds no ``(P, d)`` block: the forward and
+    the ``x`` gradient are one weighted-CSR product each, the ``scale``
+    gradient blocked row dots.  Negative ``gather_ids`` wrap.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     scale = scale if isinstance(scale, Tensor) else Tensor(scale)
-    cols = np.asarray(gather_ids, dtype=np.int64)
+    n = x.data.shape[0]
+    cols = _plans.row_ids(gather_ids, n)
     ids = _check_ids(segment_ids, num_segments, cols.shape[0])
     if scale.data.shape != cols.shape:
         raise ValueError(f"scale must be 1-D of length {cols.shape[0]}, "
@@ -159,19 +163,16 @@ def gather_scale_segment_sum(x: ArrayLike, gather_ids: np.ndarray,
         messages = gather_rows(x, cols) * scale.reshape(-1, 1)
         return segment_sum(messages, ids, num_segments)
 
-    gathered = x.data[cols]
-    weights = scale.data[:, None]
-    plan = _plans.plan_for(ids, num_segments)
-    out_data = plan.sum(np.multiply(gathered, weights))
+    weights = scale.data
+    out_data = _plans.gather_scale_scatter(x.data, cols, weights, ids,
+                                           num_segments)
 
     def backward(grad: np.ndarray) -> None:
-        pulled = grad[ids]
         if x.requires_grad:
-            vals = np.multiply(pulled, weights)
-            x._accumulate(_plans.scatter_add_rows(
-                vals, cols, x.data.shape[0]))
+            x._accumulate(_plans.gather_scale_scatter(grad, ids, weights,
+                                                      cols, n))
         if scale.requires_grad:
-            scale._accumulate(np.einsum("ij,ij->i", pulled, gathered))
+            scale._accumulate(_plans.gathered_dot(grad, ids, x.data, cols))
 
     return x._make_child(out_data, (x, scale), backward)
 

@@ -488,11 +488,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if (isinstance(index, np.ndarray) and index.ndim == 1
-                    and index.dtype.kind in "iu"
-                    and _plans.fast_kernels_enabled()):
+                    and index.dtype.kind in "iu"):
                 self._accumulate(_plans.scatter_add_rows(
-                    grad, index.astype(np.int64, copy=False),
-                    self.data.shape[0]))
+                    grad, index, self.data.shape[0]))
             else:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
