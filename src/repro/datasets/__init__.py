@@ -11,7 +11,8 @@ from .proteins import PROTEIN_CONFIGS, ProteinConfig, generate_protein_dataset
 from .registry import GRAPH_DATASET_NAMES, load_dataset, load_graph_dataset
 from .hetero import (HeteroSBMConfig, generate_hetero_graph,
                      load_hetero_dataset)
-from .modular import ModularGraphConfig, build_modular_graph
+from .modular import (ModularGraphConfig, build_modular_graph,
+                      generate_modular_dataset)
 from .statistics import (GraphDatasetStats, NodeDatasetStats,
                          format_graph_stats_table, format_node_stats_table,
                          graph_dataset_stats, node_dataset_stats)
@@ -25,7 +26,7 @@ __all__ = [
     "PROTEIN_CONFIGS", "ProteinConfig", "generate_protein_dataset",
     "GRAPH_DATASET_NAMES", "load_dataset", "load_graph_dataset",
     "HeteroSBMConfig", "generate_hetero_graph", "load_hetero_dataset",
-    "ModularGraphConfig", "build_modular_graph",
+    "ModularGraphConfig", "build_modular_graph", "generate_modular_dataset",
     "GraphDatasetStats", "NodeDatasetStats",
     "format_graph_stats_table", "format_node_stats_table",
     "graph_dataset_stats", "node_dataset_stats",

@@ -20,12 +20,7 @@ corruption, so features alone cannot decide the class.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..tensor.random import make_rng
-
-from .base import GraphDataset, split_graphs
-from .modular import ModularGraphConfig, build_modular_graph
+from .modular import ModularGraphConfig, generate_modular_dataset
 
 #: Molecule-flavoured configurations matched (scaled) to Table 7.  Feature
 #: widths follow the originals (NCI1 has 37 atom types, MUTAG 7, ...).
@@ -63,14 +58,5 @@ MOLECULE_CONFIGS = {
 }
 
 
-def generate_molecule_dataset(name: str, cfg: ModularGraphConfig,
-                              seed: int) -> GraphDataset:
-    """Generate a balanced two-class molecule dataset with 80/10/10 splits."""
-    rng = make_rng(seed)
-    graphs = [build_modular_graph(cfg, label=i % 2, rng=rng)
-              for i in range(cfg.num_graphs)]
-    train, val, test = split_graphs(cfg.num_graphs,
-                                    make_rng(seed + 13))
-    return GraphDataset(name=name, graphs=graphs, num_classes=2,
-                        num_features=cfg.num_features,
-                        train_index=train, val_index=val, test_index=test)
+#: The shared builder under its molecule-family name.
+generate_molecule_dataset = generate_modular_dataset

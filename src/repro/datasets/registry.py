@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from .base import GraphDataset, NodeDataset
-from .molecules import MOLECULE_CONFIGS, generate_molecule_dataset
+from .modular import generate_modular_dataset
+from .molecules import MOLECULE_CONFIGS
 from .node_benchmarks import (NODE_DATASET_NAMES, load_node_dataset,
                               stable_seed)
-from .proteins import PROTEIN_CONFIGS, generate_protein_dataset
+from .proteins import PROTEIN_CONFIGS
 
 #: Graph-classification dataset names (Table 7 order).
 GRAPH_DATASET_NAMES = ("nci1", "nci109", "dd", "mutag", "mutagenicity",
@@ -16,12 +17,9 @@ GRAPH_DATASET_NAMES = ("nci1", "nci109", "dd", "mutag", "mutagenicity",
 def load_graph_dataset(name: str, seed: int = 0) -> GraphDataset:
     """Generate the named graph-classification benchmark deterministically."""
     key = name.lower().replace("&", "").replace("-", "")
-    if key in MOLECULE_CONFIGS:
-        return generate_molecule_dataset(key, MOLECULE_CONFIGS[key],
-                                         seed=stable_seed(key, seed))
-    if key in PROTEIN_CONFIGS:
-        return generate_protein_dataset(key, PROTEIN_CONFIGS[key],
-                                        seed=stable_seed(key, seed))
+    cfg = MOLECULE_CONFIGS.get(key, PROTEIN_CONFIGS.get(key))
+    if cfg is not None:
+        return generate_modular_dataset(key, cfg, seed=stable_seed(key, seed))
     raise KeyError(f"unknown graph dataset {name!r}; "
                    f"choose from {sorted(GRAPH_DATASET_NAMES)}")
 

@@ -13,6 +13,7 @@ gradient check.
 import numpy as np
 import pytest
 
+from repro.analysis.sanitize import sanitizer_paused
 from repro.core.flyback import FlybackAggregator, _weighted_combine
 from repro.core.losses import (_pair_bce_fused,
                                _self_optimisation_loss_reference,
@@ -103,6 +104,33 @@ def test_leaky_relu_project_matches_compositional(operand_shape):
     assert np.array_equal(out.data, ref.data)
     assert np.allclose(xt.grad, xr.grad, atol=1e-14)
     assert np.allclose(at.grad, ar.grad, atol=1e-14)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("operand_shape", [(6,), (6, 3)])
+def test_leaky_relu_project_input_grad_is_the_masked_scale(dtype,
+                                                           operand_shape):
+    """The slope factor multiplies each entry by exactly 1 or exactly the
+    slope: the bits of scaling only the ``x <= 0`` entries in place."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(9, 6)).astype(dtype)
+    x[0, :] = 0.0
+    x[1, :3] = -0.0
+    x[2, :3] = (np.nan, np.inf, -np.inf)
+    a = rng.normal(size=operand_shape).astype(dtype)
+    g = rng.normal(size=(9,) + operand_shape[1:]).astype(dtype)
+    g[3] = np.inf
+
+    xt = Tensor(x.copy(), requires_grad=True, dtype=dtype)
+    # Non-finite inputs are the point here, so the NaN/Inf sanitizer
+    # (armed for the whole run under REPRO_SANITIZE=1) is paused.
+    with np.errstate(invalid="ignore"), sanitizer_paused():
+        leaky_relu_project(xt, Tensor(a, dtype=dtype)).backward(g)
+        want = (np.multiply(g[:, None], a[None, :]) if a.ndim == 1
+                else np.matmul(g, a.T))
+        np.multiply(want, dtype(0.2), out=want, where=x <= 0)
+    assert xt.grad.dtype == want.dtype
+    assert np.array_equal(xt.grad.view(np.uint8), want.view(np.uint8))
 
 
 def test_leaky_relu_project_numeric_gradient():
