@@ -180,28 +180,6 @@ def dense_reconstruction_loss(h: Tensor, adjacency: np.ndarray) -> Tensor:
                                             targets.reshape(-1))
 
 
-#: Sorted edge codes per (edge_index identity, num_nodes), so the per-epoch
-#: negative sampler skips the ``np.unique`` over a static edge list.  Entries
-#: pin their edge_index array, which keeps the identity key valid.
-_EDGE_CODE_CACHE: dict = {}
-_EDGE_CODE_CAPACITY = 32
-
-
-def _edge_codes(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
-    interface = edge_index.__array_interface__
-    key = (interface["data"][0], edge_index.shape, edge_index.strides,
-           int(num_nodes))
-    hit = _EDGE_CODE_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    codes = sorted_unique(edge_index[0].astype(np.int64) * num_nodes
-                          + edge_index[1])
-    if len(_EDGE_CODE_CACHE) >= _EDGE_CODE_CAPACITY:
-        _EDGE_CODE_CACHE.pop(next(iter(_EDGE_CODE_CACHE)))
-    _EDGE_CODE_CACHE[key] = (edge_index, codes)
-    return codes
-
-
 def _is_edge(codes: np.ndarray, existing: np.ndarray) -> np.ndarray:
     """Membership of ``codes`` in the sorted ``existing`` array.  Sorted
     queries let each binary search start where the last ended (~2x)."""
@@ -228,7 +206,8 @@ def sample_non_edges(edge_index: np.ndarray, num_nodes: int, count: int,
     # self-loops and observed edges via a sorted-code membership test.
     # This runs every training step, so the Python-level per-pair loop it
     # replaces was a measurable slice of the epoch.
-    existing = _edge_codes(edge_index, num_nodes)
+    existing = sorted_unique(edge_index[0].astype(np.int64) * num_nodes
+                             + edge_index[1])
     out_u: list = []
     out_v: list = []
     found = 0

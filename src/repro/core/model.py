@@ -150,7 +150,7 @@ class AdamGNN(Module):
                 f"nodes, input has {n}")
         if edge_weight is None:
             # A stable ones array (not a fresh np.ones each call) so the
-            # identity-keyed structure/plan caches hit on epochs 2..N.
+            # identity-keyed structure cache hits on epochs 2..N.
             edge_weight = cache.unit_edge_weights(edge_index,
                                                   dtype=x.data.dtype)
 

@@ -71,8 +71,7 @@ class HyperNodeFeatures(Module):
         """``(pair_idx, members, cols, pair egos)`` of the selected pairs.
 
         Pure topology given the selection outcome, so serving plans
-        capture it (stable ``cols``/``pair_idx`` arrays also keep the
-        identity-keyed segment plans hitting across replays).
+        capture it.
         """
         selected = assignment.selected
         is_selected = np.zeros(egos.num_nodes, dtype=bool)

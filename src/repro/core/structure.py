@@ -27,9 +27,8 @@ never precomputed or cached anywhere in this library.
 :class:`DatasetStructures` bundles the per-graph precomputations (lazy,
 one per graph) with a :class:`~repro.graph.cache.BatchStructureCache`, so
 the fixed val/test chunks and recurring train chunks return the *same*
-collated batch object across epochs — whose arrays then hit every
-identity-keyed cache downstream (structure cache, segment plans, SpMV
-operators).
+collated batch object across epochs — the object a recurring step's
+training tape and a served batch's workspace are keyed on.
 """
 
 from __future__ import annotations

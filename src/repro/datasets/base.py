@@ -81,7 +81,7 @@ class GraphDataset:
     (``None`` when any graph is unlabelled), so per-batch label lookups
     are fancy-index slices instead of Python loops over graphs.  Graphs
     and their labels are treated as immutable after construction — the
-    same contract the identity-keyed structure caches rely on.
+    same contract the identity-keyed structure cache relies on.
     """
 
     name: str

@@ -56,17 +56,6 @@ def reachable_pairs(edge_index: np.ndarray, num_nodes: int,
     return source[keep], target[keep]
 
 
-def k_hop_reachability(graph: Graph, k: int) -> sp.csr_matrix:
-    """Boolean CSR matrix R with ``R[i, j] = 1`` iff ``1 <= d(i, j) <= k``.
-
-    Built from :func:`reachable_pairs`, the loop behind the ego-networks.
-    """
-    n = graph.num_nodes
-    source, target = reachable_pairs(graph.edge_index, n, k)
-    return sp.csr_matrix((np.ones(source.shape[0], dtype=bool),
-                          (source, target)), shape=(n, n))
-
-
 def bfs_distances(graph: Graph, source: int, max_depth: int | None = None) -> np.ndarray:
     """Unweighted shortest-path distances from ``source`` (-1 = unreachable)."""
     neighbours = adjacency_lists(graph.to_undirected())

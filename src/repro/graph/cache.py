@@ -12,8 +12,9 @@ fitness scores and genuinely changes between epochs.
 Keys use array memory identity (data pointer, shape, strides, dtype) —
 an O(1) probe independent of graph size — and every entry keeps strong
 references to its key arrays so a hit can never alias a recycled buffer.
-The contract is the same as the segment-plan cache's: structural arrays
-are treated as immutable, which all loaders in this library respect.
+The contract this imposes: structural arrays are treated as immutable,
+which all loaders in this library respect.  This is the library's only
+address-keyed memo; segment plans and SpMM operators are built per call.
 
 The cache is deliberately builder-agnostic (:meth:`StructureCache.get`
 takes a callable) so higher layers can memoise their own structures —
@@ -26,11 +27,10 @@ arrays, so identity keys alone cannot hit across epochs.
 chunk* that selects the batch's member graphs — content, not memory
 identity, because chunks are tiny (≤ batch_size int64s) and hashing them
 is O(batch_size), not O(graph size).  A hit returns the previously
-collated batch object, whose arrays then hit every identity-keyed cache
-downstream (this one, the segment-plan cache, the SpMV operators).  A
-miss invokes a caller-supplied builder — ``repro.core.structure`` composes
-the batch and its level-0 structures from per-graph precomputations there,
-keeping this module free of upward imports.
+collated batch object, whose identity is what keys the step's training
+tape.  A miss invokes a caller-supplied builder — ``repro.core.structure``
+composes the batch and its level-0 structures from per-graph
+precomputations there, keeping this module free of upward imports.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from ..tensor._segment_plans import _array_key
 from .normalize import normalize_edges
 
 #: Default bound on distinct cached structures.  Sized for "a handful of
@@ -52,6 +51,12 @@ DEFAULT_CAPACITY = 32
 #: one epoch's worth of train chunks fit comfortably; shuffled train
 #: chunks from older epochs are evicted LRU-first.
 DEFAULT_BATCH_CAPACITY = 64
+
+
+def _array_key(arr: np.ndarray) -> Tuple:
+    """An array's memory identity: data pointer, shape, strides, dtype."""
+    interface = arr.__array_interface__
+    return (interface["data"][0], arr.shape, arr.strides, arr.dtype.str)
 
 
 class StructureCache:
@@ -105,10 +110,11 @@ class StructureCache:
                           dtype=np.float64) -> np.ndarray:
         """A stable all-ones weight array for ``edge_index``.
 
-        Synthesising ``np.ones(E)`` fresh every forward pass would defeat
-        every identity-keyed cache downstream; this returns the same array
-        object for the same edge list (per requested ``dtype``, so a
-        float32 run does not alias a float64 one).
+        Synthesising ``np.ones(E)`` fresh every forward pass would make
+        every :meth:`normalized_edges` lookup keyed on it miss; this
+        returns the same array object for the same edge list (per
+        requested ``dtype``, so a float32 run does not alias a float64
+        one).
         """
         dt = np.dtype(dtype)
         return self.get("unit-weights", (edge_index,),

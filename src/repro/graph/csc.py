@@ -23,7 +23,7 @@ Two operations drive training:
 * :meth:`CSCGraph.ego_net` — radius-λ sampled ego-net extraction around a
   seed set: λ rounds of frontier expansion whose union, relabelled to
   local ids with seeds first and symmetrised, is a subgraph every existing
-  kernel (GCN normalisation, segment plans, ego-structure caches) consumes
+  kernel (GCN normalisation, segment reductions, ego-structure caches) consumes
   unchanged.
 
 Determinism: both operations consume only the caller's RNG — one

@@ -12,8 +12,8 @@ only for the batch it was recorded on: the coarsening hierarchy of an
 AdamGNN forward depends on the *data*, not just on the batch's outer
 dimensions.  Plans are therefore keyed by the identity of the batch
 object itself, with the entry pinning the batch so the key can never
-alias a recycled object (the same contract as every identity-keyed cache
-in this library).  Served batches are stable objects in practice: the
+alias a recycled object (the contract the training tape's keys and
+:class:`~repro.graph.StructureCache` keep too).  Served batches are stable objects in practice: the
 :class:`~repro.core.DatasetStructures` pipeline returns the cached
 collation for a repeated chunk, so a repeated batch replays its plan
 instead of rebuilding ego-networks, selection and connectivity.  A batch

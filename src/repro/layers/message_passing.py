@@ -8,15 +8,15 @@ concrete layers stay close to their published equations.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..graph.blocks import MessageFlowBlock, canonical_csr
 from ..tensor import (Tensor, fast_kernels_enabled, gather_rows, segment_max,
                       segment_mean, segment_sum)
-from ..tensor._segment_plans import _array_key, _sptools
+from ..tensor._segment_plans import _sptools
+from ..tensor.workspace import ws_captured
 
 #: Supported reduction names → segment reducers.
 _REDUCERS = {
@@ -25,35 +25,20 @@ _REDUCERS = {
     "max": segment_max,
 }
 
-#: Cached CSR operators keyed by the memory identity of the (src, dst,
-#: weight) arrays, so the sum-reduce fast path below pays the build once
-#: per static graph instead of once per call.  Entries pin their source
-#: arrays (same contract as the segment-plan cache).
-_ADJ_CACHE: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-_ADJ_CAPACITY = 64
-
 
 def _adjacency_for(src: np.ndarray, dst: np.ndarray,
                    edge_weight: Optional[np.ndarray],
                    num_out: int, num_in: int, dtype=np.float64):
-    # dtype is part of the key: a float64 CSR operator applied to float32
-    # node states would silently promote the whole layer back to float64.
-    dtype = np.dtype(dtype)
-    key = (_array_key(src), _array_key(dst),
-           None if edge_weight is None else _array_key(edge_weight),
-           num_out, num_in, dtype.str)
-    hit = _ADJ_CACHE.get(key)
-    if hit is not None:
-        _ADJ_CACHE.move_to_end(key)
-        return hit[1]
-    data = (np.ones(src.shape[0], dtype=dtype)
-            if edge_weight is None
-            else np.asarray(edge_weight).astype(dtype, copy=False))
-    csr = canonical_csr(src, dst, data, num_out, num_in)
-    _ADJ_CACHE[key] = ((src, dst, edge_weight), csr)
-    if len(_ADJ_CACHE) > _ADJ_CAPACITY:
-        _ADJ_CACHE.popitem(last=False)
-    return csr
+    """The CSR operator of the weighted edges, built per call (a serving
+    replay gets back the one its capture pass built).  The weights are
+    cast to the node states' dtype: a float64 operator applied to float32
+    states would silently promote the whole layer back to float64."""
+    def build():
+        data = (np.ones(src.shape[0], dtype=dtype)
+                if edge_weight is None
+                else np.asarray(edge_weight).astype(dtype, copy=False))
+        return canonical_csr(src, dst, data, num_out, num_in)
+    return ws_captured(build)
 
 
 def _spmm(x: Tensor, indptr: np.ndarray, indices: np.ndarray,

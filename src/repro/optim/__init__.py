@@ -1,11 +1,8 @@
-"""Optimisers and learning-rate utilities."""
+"""Optimisers and gradient clipping."""
 
 from .optimizer import Optimizer
-from .sgd import SGD
-from .adam import Adam, AdamW, FlatParams
+from .adam import Adam, FlatParams
 from .clip import clip_grad_norm, clip_grad_value
-from .lr_scheduler import CosineAnnealingLR, StepLR
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "FlatParams",
-           "clip_grad_norm", "clip_grad_value",
-           "CosineAnnealingLR", "StepLR"]
+__all__ = ["Optimizer", "Adam", "FlatParams",
+           "clip_grad_norm", "clip_grad_value"]

@@ -1,4 +1,4 @@
-"""Adam and AdamW.
+"""Adam.
 
 Adam with lr=0.01 and weight_decay=5e-4 is the standard configuration for
 the GCN/GAT family of baselines and is the default used by the experiment
@@ -145,18 +145,3 @@ class Adam(Optimizer):
             np.divide(s, sa, out=sa)
             np.copyto(s, sa, casting="unsafe")
             np.subtract(param.data, s, out=param.data)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def step(self) -> None:
-        if self.weight_decay:
-            for param in self.params:
-                if param.grad is not None:
-                    param.data = param.data * (1.0 - self.lr * self.weight_decay)
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            super().step()
-        finally:
-            self.weight_decay = decay

@@ -15,9 +15,8 @@ from .ops import (absolute, affine, clip, concat, dropout, elu, exp,
 from .segment import (gather_scale_segment_sum, segment_count, segment_max,
                       segment_mean, segment_normalize, segment_softmax,
                       segment_sum)
-from ._segment_plans import (SegmentReductionPlan, clear_plan_cache,
-                             fast_kernels_enabled, naive_kernels,
-                             plan_for, scatter_add_rows, segment_plan_stats)
+from ._segment_plans import (SegmentReductionPlan, fast_kernels_enabled,
+                             naive_kernels, plan_for, scatter_add_rows)
 from .gradcheck import (assert_gradients_close, check_gradients,
                         numeric_gradient, tolerances_for)
 from .random import draw_normal, draw_uniform, make_rng, spawn
@@ -37,9 +36,8 @@ __all__ = [
     "tanh", "where",
     "gather_scale_segment_sum", "segment_count", "segment_max",
     "segment_mean", "segment_normalize", "segment_softmax", "segment_sum",
-    "SegmentReductionPlan", "clear_plan_cache", "fast_kernels_enabled",
-    "naive_kernels", "plan_for", "scatter_add_rows",
-    "segment_plan_stats",
+    "SegmentReductionPlan", "fast_kernels_enabled", "naive_kernels",
+    "plan_for", "scatter_add_rows",
     "assert_gradients_close", "check_gradients", "numeric_gradient",
     "tolerances_for",
     "draw_normal", "draw_uniform", "make_rng", "spawn",

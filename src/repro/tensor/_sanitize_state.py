@@ -38,8 +38,8 @@ def check_segment_inputs(op: str, values: np.ndarray,
                          segment_ids: np.ndarray) -> None:
     """Dtype-contract assertions for segment-kernel inputs.
 
-    The segment plans cache per-ids counting sorts (CSR row pointers) and
-    the reductions assume policy-supported float values with int64 ids; a
+    The segment plans counting-sort int64 ids (CSR row pointers) and the
+    reductions assume policy-supported float values with int64 ids; a
     float16/longdouble array sneaking in would silently take the slow
     ufunc paths (or upcast downstream).  Called by the public segment
     kernels only when sanitizers are enabled.
@@ -52,4 +52,4 @@ def check_segment_inputs(op: str, values: np.ndarray,
     if segment_ids.dtype != np.int64:
         raise SanitizerError(
             f"{op}: segment_ids dtype {segment_ids.dtype} — the segment "
-            f"plans key on int64 id arrays")
+            f"plans sort int64 id arrays")

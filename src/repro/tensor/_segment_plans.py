@@ -8,40 +8,29 @@ sparse-dense product with the sort's 0/1 selector (wide sums) or a single
 ``ufunc.reduceat`` sweep over the sorted order.  A gather-scale-scatter
 ``out[r_k] += w_k · x[c_k]`` needs no plan: the counting sort turns its
 triplets into a weighted CSR matrix for one product
-(:func:`gather_scale_scatter`), so its often one-shot ids stay uncached.
+(:func:`gather_scale_scatter`).
 
-Plans are cached per ids array.  The cache key is the array's memory
-identity (data pointer, shape, strides, dtype), not its contents, so a hit
-costs O(1) regardless of how many pairs the array holds, and two NumPy
-*views* of the same rows (e.g. ``src, dst = edge_index`` unpacked freshly
-each forward pass) resolve to the same plan.  Each cache entry keeps a
-strong reference to its ids array, which pins the memory and guarantees the
-key can never alias a different live array.  The one contract this imposes
-on callers: segment-id arrays must be treated as immutable while in use
-(all structural arrays in this library already are).
+Plans are built per call: a counting sort is O(P + n), cheap beside the
+reductions it serves, and a plan kept past its call would go stale if its
+ids were rewritten in place.  The one reuse is a serving replay: inside an
+active :class:`~repro.tensor.workspace.Workspace` a plan is a captured
+stage, so a replayed forward over the same frozen batch gets back the
+plans its capture pass built (:func:`plan_for`).
 
-The module depends only on NumPy/SciPy, so both :mod:`repro.tensor.ops`
-and :mod:`repro.tensor.segment` can build on it without an import cycle.
+Beyond NumPy/SciPy the module imports only the workspace, so both
+:mod:`repro.tensor.ops` and :mod:`repro.tensor.segment` can build on it
+without an import cycle.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import _sparsetools as _sptools
 
-#: Upper bound on cached plans; LRU-evicted beyond this.  Each entry pins
-#: its ids array, so the bound also caps the pinned memory.  A reshuffled
-#: PROTEINS fit (4 steps and a validation pass per epoch) builds ~120 plans
-#: an epoch; almost every hit lands in the step that built the plan, and
-#: ~10 an epoch reach back one epoch (the validation batches' structure).
-#: The bound holds ~8 epochs, so it never laps an epoch, and after 40
-#: epochs it reads 2,494 hits, 4,780 misses and 3,756 evictions with
-#: ~23 MB pinned, mostly by plans no later step asks for.
-PLAN_CACHE_CAPACITY = 1024
+from .workspace import ws_captured
 
 #: 2-D segment sums switch from ``add.reduceat`` to a CSR sparse-dense
 #: product at this many input rows.  The two sum a segment in different
@@ -79,7 +68,7 @@ class SegmentReductionPlan:
     Attributes
     ----------
     ids:
-        The segment-id array the plan was built for (pinned).
+        The segment-id array the plan was built for.
     num_segments:
         Number of output rows.
     indptr:
@@ -190,33 +179,10 @@ def _csr_product(indptr: np.ndarray, indices: np.ndarray,
     return out
 
 
-def _array_key(arr: np.ndarray) -> Tuple:
-    interface = arr.__array_interface__
-    return (interface["data"][0], arr.shape, arr.strides, arr.dtype.str)
-
-
-_CACHE: "OrderedDict[Tuple, SegmentReductionPlan]" = OrderedDict()
-_HITS = 0
-_MISSES = 0
-_EVICTIONS = 0
-
-
 def plan_for(ids: np.ndarray, num_segments: int) -> SegmentReductionPlan:
-    """Return the (possibly cached) reduction plan for ``ids``."""
-    global _HITS, _MISSES, _EVICTIONS
-    key = _array_key(ids) + (int(num_segments),)
-    plan = _CACHE.get(key)
-    if plan is not None:
-        _HITS += 1
-        _CACHE.move_to_end(key)
-        return plan
-    _MISSES += 1
-    plan = SegmentReductionPlan(ids, num_segments)
-    _CACHE[key] = plan
-    if len(_CACHE) > PLAN_CACHE_CAPACITY:
-        _CACHE.popitem(last=False)
-        _EVICTIONS += 1
-    return plan
+    """The reduction plan for ``ids``: built per call, or the captured
+    stage's plan when a serving workspace replays a forward."""
+    return ws_captured(lambda: SegmentReductionPlan(ids, num_segments))
 
 
 def row_ids(index: np.ndarray, num_rows: int) -> np.ndarray:
@@ -225,8 +191,7 @@ def row_ids(index: np.ndarray, num_rows: int) -> np.ndarray:
     Negative ids wrap as NumPy indexing wraps them, so a gather's backward
     sends each gradient row where the forward read it, on either kernel
     path; ids outside ``[-num_rows, num_rows)`` raise ``IndexError`` as the
-    forward does.  Without a negative id the array keeps its identity (the
-    plan cache key).
+    forward does.  Without a negative id the array is returned as given.
     """
     ids = np.asarray(index, dtype=np.int64)
     if ids.size:
@@ -258,8 +223,7 @@ def gather_scale_scatter(x: np.ndarray, cols: np.ndarray,
                          num_rows: int) -> np.ndarray:
     """``out[rows[k]] += weights[k] · x[cols[k]]`` for a 2-D ``x``.
 
-    Bit for bit ``plan_for(rows).sum(x[cols] * weights[:, None])``, with no
-    cached plan (the ids are often fresh every step).  From
+    Bit for bit ``plan_for(rows).sum(x[cols] * weights[:, None])``.  From
     ``_SPARSE_MIN_ROWS`` terms up, a counting sort turns the triplets
     straight into a weighted CSR matrix and one product sums it with no
     ``(P, d)`` block: each term is one rounded product added in stable row
@@ -270,7 +234,7 @@ def gather_scale_scatter(x: np.ndarray, cols: np.ndarray,
     dense = np.ascontiguousarray(x, dtype=dtype)
     scale = np.ascontiguousarray(weights, dtype=dtype)
     if rows.shape[0] < _SPARSE_MIN_ROWS:
-        return SegmentReductionPlan(rows, num_rows).sum(
+        return plan_for(rows, num_rows).sum(
             np.take(dense, cols, axis=0) * scale[:, None])
     indptr, indices, data = _coo_tocsr(rows, cols, scale, num_rows,
                                        dense.shape[0])
@@ -314,22 +278,3 @@ def gathered_dot(a: np.ndarray, index_a: np.ndarray, b: np.ndarray,
                   np.take(b, index_b[start:stop], axis=0),
                   out=out[start:stop])
     return out
-
-
-def segment_plan_stats() -> dict:
-    """Dict-shaped counters matching ``StructureCache.stats()``.
-
-    The uniform shape lets trainers surface every cache's effectiveness
-    in one report (``trainer.cache_stats(model)``).
-    """
-    return {"hits": _HITS, "misses": _MISSES, "evictions": _EVICTIONS,
-            "entries": len(_CACHE), "capacity": PLAN_CACHE_CAPACITY}
-
-
-def clear_plan_cache() -> None:
-    """Drop all cached plans (releases the pinned ids arrays)."""
-    global _HITS, _MISSES, _EVICTIONS
-    _CACHE.clear()
-    _HITS = 0
-    _MISSES = 0
-    _EVICTIONS = 0

@@ -12,11 +12,11 @@ keep a well-defined state).
 
 Every reduction runs through a
 :class:`~repro.tensor._segment_plans.SegmentReductionPlan`: the ids array
-is counting-sorted once and cached by memory identity, and each forward
-*and* backward reduction over it is a single sparse-dense product or
-``ufunc.reduceat`` sweep instead of an unbuffered ``np.add.at`` /
-``np.maximum.at`` scatter loop.  :func:`gather_scale_segment_sum` needs no
-plan: both of its directions are one weighted-CSR product
+is counting-sorted once per call (or handed back by a serving workspace's
+replay), and each forward *and* backward reduction over it is a single
+sparse-dense product or ``ufunc.reduceat`` sweep instead of an unbuffered
+``np.add.at`` / ``np.maximum.at`` scatter loop.
+:func:`gather_scale_segment_sum` needs no plan: both of its directions are one weighted-CSR product
 (:func:`repro.tensor._segment_plans.gather_scale_scatter`).  The original
 scatter-loop kernels are retained (reachable via
 :func:`repro.tensor._segment_plans.naive_kernels`) so the test suite can

@@ -7,9 +7,10 @@ the batch, so a :class:`Workspace` records them through
 :meth:`Workspace.captured` on the first forward over a batch (the capture
 pass) and every later forward over the same batch returns the recorded
 objects without recomputation — the serving analogue of graph capture.
-The stability of the recorded arrays is itself a speedup: every
-identity-keyed cache downstream (segment plans, Â adjacencies) hits
-instead of rotating.
+The segment-reduction plans and SpMM operators a forward builds are
+stages too (``plan_for`` and ``propagate`` route their builds through
+:func:`ws_captured`), so a replay rebuilds none of them; outside a
+workspace they are built per call and kept nowhere.
 
 Stages are matched by call order: :meth:`Workspace.begin` rewinds the plan
 cursor, and stage *i* of a replay returns what stage *i* of the capture

@@ -32,7 +32,7 @@ from ..datasets import GraphDataset
 from ..graph import GraphBatch
 from ..nn import Module, cross_entropy
 from ..optim import clip_grad_norm
-from ..tensor import Tensor, default_dtype, no_grad, segment_plan_stats
+from ..tensor import Tensor, default_dtype, no_grad
 from .capture import StepCapture, model_rngs, run_step
 from .config import TrainConfig
 from .loop import EpochLog, adamgnn_loss, train_epochs
@@ -174,7 +174,7 @@ class GraphClassificationTrainer:
     def cache_stats(self, model: Optional[Module] = None,
                     ) -> Dict[str, dict]:
         """Hit/miss counters of every cache the hot path touches."""
-        stats: Dict[str, dict] = {"segment_plans": segment_plan_stats()}
+        stats: Dict[str, dict] = {}
         if self._structures is not None:
             stats["batch_cache"] = self._structures[2].stats()
         if isinstance(model, AdamGNNGraphClassifier):

@@ -20,8 +20,7 @@ from ..graph import (CSCGraph, RowPlan, SampledSubgraph, csc_cache_stats,
                      degree_features)
 from ..nn import Module, cross_entropy
 from ..optim import clip_grad_norm
-from ..tensor import (Tensor, default_dtype, get_default_dtype, no_grad,
-                      segment_plan_stats)
+from ..tensor import Tensor, default_dtype, get_default_dtype, no_grad
 from .capture import StepCapture, model_rngs, run_step
 from .config import TrainConfig
 from .loop import EpochLog, adamgnn_loss, train_epochs
@@ -91,7 +90,7 @@ class NodeClassificationTrainer:
     def cache_stats(self, model: Optional[Module] = None,
                     ) -> Dict[str, dict]:
         """Hit/miss counters of every cache the hot path touches."""
-        stats: Dict[str, dict] = {"segment_plans": segment_plan_stats()}
+        stats: Dict[str, dict] = {}
         structure_cache = getattr(getattr(model, "encoder", None),
                                   "structure_cache", None)
         if structure_cache is not None:

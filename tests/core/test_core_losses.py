@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import tensor as T
 from repro.core import (dense_reconstruction_loss, link_probabilities,
                         pair_logits, sample_non_edges,
                         sampled_reconstruction_loss, self_optimisation_loss,
@@ -153,7 +152,6 @@ def test_sampled_reconstruction_fast_matches_naive(rng, dtype):
     atol = 1e-5 if dtype == np.float32 else 1e-12
 
     def loss_grads(use_naive):
-        T.clear_plan_cache()
         h = Tensor(h_data.copy(), dtype=dtype, requires_grad=True)
         sample_rng = np.random.default_rng(3)
         if use_naive:

@@ -25,7 +25,7 @@ from repro.core.structure import DatasetStructures
 from repro.datasets import GraphDataset, load_graph_dataset, split_graphs
 from repro.inference import Predictor
 from repro.optim import Adam
-from repro.tensor import clear_plan_cache, default_dtype
+from repro.tensor import default_dtype
 from repro.training import GraphClassificationTrainer, TrainConfig
 from repro.training.capture import model_rngs
 
@@ -80,7 +80,6 @@ def test_patch_refuses_both_constructors(no_scipy_matrices):
 
 
 def _train_steps(dataset, radius, capture, epochs):
-    clear_plan_cache()
     model = _model(dataset, radius)
     cfg = TrainConfig(batch_size=8, seed=0, capture=capture)
     trainer = GraphClassificationTrainer(cfg)

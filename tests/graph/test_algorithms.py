@@ -5,8 +5,8 @@ import pytest
 
 from repro.graph import (Graph, adjacency_lists, bfs_distances,
                          connected_components, is_connected,
-                         k_hop_reachability, largest_component,
-                         triangle_count)
+                         largest_component, triangle_count)
+from repro.graph.algorithms import reachable_pairs
 
 
 def path_graph(n: int) -> Graph:
@@ -17,29 +17,38 @@ def path_graph(n: int) -> Graph:
     return Graph(edges, num_nodes=n)
 
 
+def reachability(graph: Graph, radius: int) -> np.ndarray:
+    """Dense boolean R with ``R[i, j]`` iff ``1 <= d(i, j) <= radius``."""
+    source, target = reachable_pairs(graph.edge_index, graph.num_nodes,
+                                     radius)
+    reach = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
+    reach[source, target] = True
+    return reach
+
+
 class TestReachability:
     def test_one_hop_is_adjacency(self, triangle_graph):
-        r = k_hop_reachability(triangle_graph, 1).toarray()
+        r = reachability(triangle_graph, 1)
         assert r[0, 1] and r[1, 2] and r[2, 3]
         assert not r[0, 3]
 
     def test_two_hop_reaches_pendant(self, triangle_graph):
-        r = k_hop_reachability(triangle_graph, 2).toarray()
+        r = reachability(triangle_graph, 2)
         assert r[0, 3] and r[3, 0]
 
     def test_diagonal_excluded(self, triangle_graph):
         for k in (1, 2, 3):
-            assert not k_hop_reachability(triangle_graph, k).toarray() \
-                .diagonal().any()
+            assert not reachability(triangle_graph, k).diagonal().any()
 
     def test_path_graph_hops(self):
         g = path_graph(6)
-        r3 = k_hop_reachability(g, 3).toarray()
+        r3 = reachability(g, 3)
         assert r3[0, 3] and not r3[0, 4]
 
     def test_invalid_k(self, triangle_graph):
-        with pytest.raises(ValueError):
-            k_hop_reachability(triangle_graph, 0)
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            reachable_pairs(triangle_graph.edge_index,
+                            triangle_graph.num_nodes, 0)
 
 
 class TestBFS:

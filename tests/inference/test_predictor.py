@@ -6,7 +6,9 @@ import pytest
 from repro.core import AdamGNNGraphClassifier, AdamGNNNodeClassifier
 from repro.datasets import GraphDataset, load_graph_dataset, split_graphs
 from repro.inference import Predictor
+from repro.layers import message_passing
 from repro.tensor import Tensor, default_dtype, naive_kernels
+from repro.tensor import _segment_plans as plans
 from repro.training import GraphClassificationTrainer, TrainConfig
 from repro.training.graph_trainer import _model_forward
 
@@ -235,3 +237,73 @@ class TestNodeServing:
         out = Predictor(model).predict_nodes(x, edges)
         assert out.dtype == np.float32
         assert (out == reference).all()
+
+
+class TestPlanReplay:
+    """Segment plans and SpMM operators are built per call; only a
+    serving workspace's replay hands back the ones its capture pass
+    built."""
+
+    @pytest.fixture(scope="class")
+    def proteins(self):
+        dataset = load_graph_dataset("proteins", seed=0)
+        model = AdamGNNGraphClassifier(dataset.num_features,
+                                       dataset.num_classes, hidden=16,
+                                       num_levels=2,
+                                       rng=np.random.default_rng(5))
+        trainer = GraphClassificationTrainer(
+            TrainConfig(dtype="float32", batch_size=16, seed=0))
+        model.astype("float32")
+        structures = trainer._structures_for(model, dataset)
+        return model, structures.batch(dataset.test_index[:16])
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        counts = {"plans": 0, "operators": 0}
+        plan_cls = plans.SegmentReductionPlan
+        build_csr = message_passing.canonical_csr
+
+        class CountingPlan(plan_cls):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                counts["plans"] += 1
+                super().__init__(*args)
+
+        def counting_csr(*args):
+            counts["operators"] += 1
+            return build_csr(*args)
+
+        monkeypatch.setattr(plans, "SegmentReductionPlan", CountingPlan)
+        monkeypatch.setattr(message_passing, "canonical_csr", counting_csr)
+        return counts
+
+    def test_replay_builds_no_plan_or_operator(self, proteins,
+                                               monkeypatch):
+        model, (batch, structure) = proteins
+        model.eval()
+        counts = self.counting_builds(monkeypatch)
+        predictor = Predictor(model)
+        captured = predictor.predict_batch(batch, structure)
+        assert counts["plans"] > 0 and counts["operators"] > 0
+        counts.update(plans=0, operators=0)
+        replayed = predictor.predict_batch(batch, structure)
+        assert counts == {"plans": 0, "operators": 0}
+        assert (replayed == captured).all()
+
+    def test_training_steps_rebuild_their_plans(self, proteins,
+                                                monkeypatch):
+        model, (batch, structure) = proteins
+        model.train()
+        counts = self.counting_builds(monkeypatch)
+        built = []
+        with default_dtype("float32"):
+            for _ in range(2):
+                counts.update(plans=0, operators=0)
+                _model_forward(model, batch, structure)[0].sum().backward()
+                built.append(dict(counts))
+        model.zero_grad()
+        model.eval()
+        # No module-level state keeps a plan or an operator between steps.
+        assert built[0]["plans"] > 0 and built[0]["operators"] > 0
+        assert built[1] == built[0]

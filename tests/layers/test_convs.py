@@ -40,6 +40,18 @@ class TestPropagate:
             propagate(Tensor(np.ones((4, 1))), triangle_graph.edge_index, 4,
                       reduce="median")
 
+    def test_edges_rewritten_in_place_are_reread(self):
+        # The SpMM operator is built per call, so an edge list rewritten
+        # in place between calls is never served a stale operator.
+        x = Tensor(np.eye(3))
+        edges = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.int64)
+        np.testing.assert_array_equal(propagate(x, edges, 3).data[0],
+                                      [0, 0, 1])
+        edges[1, :] = 0
+        out = propagate(x, edges, 3).data
+        np.testing.assert_array_equal(out[0], [1, 1, 1])
+        assert not out[1:].any()
+
 
 class TestGCNConv:
     def test_shapes(self, triangle_graph, rng):

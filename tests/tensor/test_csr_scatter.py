@@ -23,11 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import _sparsetools
 
-import repro.core.losses as core_losses
 from repro.core.losses import _pair_bce_fused, sample_non_edges
-from repro.tensor import (Tensor, clear_plan_cache, gather_rows,
-                          gather_scale_segment_sum, naive_kernels, pair_dot,
-                          plan_for)
+from repro.tensor import (Tensor, gather_rows, gather_scale_segment_sum,
+                          naive_kernels, pair_dot, plan_for)
 from repro.tensor import _segment_plans as plans
 
 SIZES = [511, 512, 513]
@@ -332,32 +330,3 @@ def test_sample_non_edges_draws_what_it_drew(seed, num_nodes, density,
     want = searchsorted_non_edges(edge_index, num_nodes, count, old)
     assert_bitwise(got, want)
     assert fresh.bit_generator.state == old.bit_generator.state
-
-
-def test_training_step_caches_no_plan_for_its_negatives(monkeypatch):
-    from repro.datasets import load_graph_dataset
-    from repro.training import GraphClassificationTrainer, TrainConfig
-    from repro.training.experiment import make_graph_classifier
-
-    drawn = []
-    sampler = core_losses.sample_non_edges
-
-    def recording(*args, **kwargs):
-        pairs = sampler(*args, **kwargs)
-        drawn.append(pairs)
-        return pairs
-
-    monkeypatch.setattr(core_losses, "sample_non_edges", recording)
-    dataset = load_graph_dataset("proteins", seed=0)
-    model = make_graph_classifier("adamgnn", dataset.num_features,
-                                  dataset.num_classes, seed=0, hidden=16,
-                                  num_levels=2)
-    # In-process, so the recording sampler is the one the steps call.
-    trainer = GraphClassificationTrainer(TrainConfig(
-        epochs=1, patience=1, seed=0, batch_size=32, num_procs=1))
-    clear_plan_cache()
-    trainer.fit(model, dataset)
-    assert drawn and sum(pairs.size for pairs in drawn) > 0
-    for cached in plans._CACHE.values():
-        for pairs in drawn:
-            assert not np.shares_memory(cached.ids, pairs)

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tensor import (Tensor, clear_plan_cache, fast_kernels_enabled,
-                          naive_kernels, plan_for, rowwise_dot,
-                          scatter_add_rows, segment_max, segment_mean,
-                          segment_plan_stats, segment_softmax, segment_sum)
+from repro.tensor import (Tensor, fast_kernels_enabled, naive_kernels,
+                          plan_for, rowwise_dot, scatter_add_rows,
+                          segment_max, segment_mean, segment_softmax,
+                          segment_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -196,36 +196,48 @@ def test_scatter_add_rows_matches_reference(case):
 
 
 # ---------------------------------------------------------------------------
-# Plan cache behaviour
+# Plans are built per call
 # ---------------------------------------------------------------------------
 class TestPlanCache:
-    def test_same_array_hits(self):
-        clear_plan_cache()
-        ids = np.array([0, 2, 1, 2], dtype=np.int64)
-        first = plan_for(ids, 3)
-        second = plan_for(ids, 3)
-        assert first is second
-        stats = segment_plan_stats()
-        assert (stats["hits"], stats["misses"], stats["entries"]) \
-            == (1, 1, 1)
-
-    def test_views_of_same_rows_share_a_plan(self):
-        clear_plan_cache()
-        edge_index = np.array([[0, 1, 2], [2, 2, 0]], dtype=np.int64)
-        src1, _ = edge_index
-        src2, _ = edge_index        # fresh view objects, same memory
-        assert plan_for(src1, 3) is plan_for(src2, 3)
-
-    def test_equal_content_different_memory_misses(self):
-        clear_plan_cache()
-        a = np.array([0, 1, 1], dtype=np.int64)
-        b = a.copy()
-        assert plan_for(a, 2) is not plan_for(b, 2)
-
     def test_plan_counts_and_present(self):
         plan = plan_for(np.array([3, 0, 3, 3], dtype=np.int64), 5)
         np.testing.assert_array_equal(plan.counts, [1, 0, 0, 3, 0])
         np.testing.assert_array_equal(plan.present, [0, 3])
+
+
+class TestIdsRewrittenInPlace:
+    """A plan lives for one call, so ids rewritten in place between calls
+    are always re-sorted: 300 pairs of rows, then every row in segment 0.
+    600 rows take the sparse-product path of the 2-D sums."""
+
+    @staticmethod
+    def pairs():
+        return np.repeat(np.arange(300, dtype=np.int64), 2)
+
+    def test_segment_sum(self):
+        values = np.ones((600, 2))
+        ids = self.pairs()
+        np.testing.assert_array_equal(segment_sum(values, ids, 300).data,
+                                      2.0)
+        ids[:] = 0
+        out = segment_sum(values, ids, 300).data
+        np.testing.assert_array_equal(out[0], [600.0, 600.0])
+        assert not out[1:].any()
+
+    def test_segment_softmax(self):
+        scores = Tensor(np.ones((600, 2)), requires_grad=True)
+        ids = self.pairs()
+        np.testing.assert_array_equal(segment_softmax(scores, ids, 300).data,
+                                      0.5)
+        ids[:] = 0
+        out = segment_softmax(scores, ids, 300)
+        np.testing.assert_allclose(out.data, 1.0 / 600, rtol=1e-12)
+        # Uniform weights: Σ_k g_k out_k equals g_i out_i summed, so the
+        # gradient of a weighted sum is out · (g - mean(g)).
+        weights = np.arange(1200.0).reshape(600, 2)
+        (out * weights).sum().backward()
+        expected = (weights - weights.mean(axis=0)) / 600
+        np.testing.assert_allclose(scores.grad, expected, atol=1e-12)
 
 
 def test_rowwise_dot_matches_mul_sum():

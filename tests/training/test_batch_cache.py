@@ -80,7 +80,7 @@ def test_eval_chunks_hit_from_second_pass(dataset):
 def test_profile_surfaces_cache_stats(dataset):
     model, trainer, _ = fit_adamgnn(dataset, epochs=2)
     stats = trainer.cache_stats(model)
-    for key in ("segment_plans", "batch_cache", "structure_cache"):
+    for key in ("batch_cache", "structure_cache"):
         assert key in stats
         counters = stats[key]
         assert {"hits", "misses", "entries", "capacity"} <= set(counters)

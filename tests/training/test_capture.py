@@ -17,8 +17,7 @@ from repro.core import AdamGNNNodeClassifier
 from repro.datasets import GraphDataset, NodeDataset, load_graph_dataset, \
     load_node_dataset, split_graphs, split_nodes
 from repro.optim import Adam, clip_grad_norm
-from repro.tensor import (Tensor, clear_plan_cache, default_dtype,
-                          naive_kernels, relu)
+from repro.tensor import Tensor, default_dtype, naive_kernels, relu
 from repro.tensor.tape import TapeInvalid
 from repro.training import (GraphClassificationTrainer,
                             NodeClassificationTrainer, TrainConfig,
@@ -50,7 +49,6 @@ def node_dataset():
 
 
 def _graph_run(name, dataset, capture, epochs=4):
-    clear_plan_cache()   # plan/scatter state must not leak between arms
     model = make_graph_classifier(name, dataset.num_features, 2, seed=0,
                                   hidden=16, num_levels=2)
     cfg = TrainConfig(epochs=epochs, patience=epochs + 2, batch_size=16,
@@ -87,7 +85,6 @@ def test_graph_replayed_epochs_match_bitwise(name, graph_dataset):
     # (3rd on).  Three replayed epochs of the trainer's own step must
     # leave parameters bitwise equal to the uncaptured arm's.
     def run(capture, epochs=5):
-        clear_plan_cache()
         model = make_graph_classifier(name, graph_dataset.num_features, 2,
                                       seed=0, hidden=16, num_levels=2)
         cfg = TrainConfig(batch_size=16, seed=0, capture=capture)
@@ -122,7 +119,6 @@ def test_graph_replayed_epochs_match_bitwise(name, graph_dataset):
 def test_node_training_parity_bitwise(node_dataset):
     results = []
     for capture in (False, True):
-        clear_plan_cache()
         model = AdamGNNNodeClassifier(16, 2, hidden=16, num_levels=2,
                                       rng=np.random.default_rng(0))
         cfg = TrainConfig(epochs=5, patience=7, seed=0, capture=capture)
@@ -168,7 +164,6 @@ def test_parity_under_naive_kernels(graph_dataset):
 
 def test_parity_float64(graph_dataset):
     def run(capture):
-        clear_plan_cache()
         model = make_graph_classifier("adamgnn",
                                       graph_dataset.num_features, 2,
                                       seed=0, hidden=16, num_levels=2)

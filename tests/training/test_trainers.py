@@ -68,8 +68,7 @@ class TestNodeTrainer:
         assert all(s > 0 for s in result.epoch_seconds)
         assert sum(result.epoch_seconds) <= result.seconds
         stats = trainer.cache_stats(model)
-        assert {"segment_plans", "structure_cache",
-                "training_tape"} <= set(stats)
+        assert {"structure_cache", "training_tape"} <= set(stats)
         # Full-batch: mark, capture, then replay from the third epoch.
         assert stats["training_tape"]["hits"] >= 2
         assert "sampler" not in stats      # no sampled fit ran
