@@ -79,16 +79,13 @@ def main() -> None:
           f"in {seconds:.2f} s ({seconds / max(1, steps):.3f} s/step)")
     print(f"Test accuracy: {result.test_accuracy:.4f} "
           f"(val {result.val_accuracy:.4f})")
-    stats = trainer.cache_stats(model)
-    sampler_stats = stats["sampler"]
+    sampler_stats = trainer.cache_stats(model)["sampler"]
     print("Sampler: "
           f"{sampler_stats.get('batches')} batches, "
           f"{sampler_stats.get('nodes_sampled'):,} nodes / "
           f"{sampler_stats.get('edges_sampled'):,} edges sampled, "
           f"mean batch {sampler_stats.get('mean_batch_nodes', 0.0):.0f} "
           f"nodes")
-    csc = stats["csc_cache"]
-    print(f"CSC cache: {csc.get('hits')} hits / {csc.get('misses')} misses")
 
 
 if __name__ == "__main__":

@@ -230,12 +230,26 @@ def _sample_edges(cfg: SBMConfig, labels: np.ndarray, communities: np.ndarray,
     return edges
 
 
-def _weighted_distinct_pairs(count: int, mem_a: np.ndarray, wa: np.ndarray,
-                             mem_b: np.ndarray, wb: np.ndarray,
+def _theta_cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF ``rng.choice(..., p=weights)`` builds, formed once.
+
+    The same two NumPy steps as ``Generator.choice``, so a draw
+    ``members[cdf.searchsorted(rng.random(k), side="right")]`` is that
+    call bit for bit, and leaves the generator in the same state,
+    without re-validating and re-accumulating ``p`` on every call.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _weighted_distinct_pairs(count: int, mem_a: np.ndarray, cdf_a: np.ndarray,
+                             mem_b: np.ndarray, cdf_b: np.ndarray,
                              within: bool, rng: np.random.Generator,
                              encode: int) -> Tuple[np.ndarray, np.ndarray]:
     """``count`` distinct node pairs with endpoints drawn ∝ θ.
 
+    ``cdf_a``/``cdf_b`` are the blocks' θ CDFs (:func:`_theta_cdf`).
     Duplicates (and self-pairs / orientation twins on the diagonal case)
     are resampled until the target count is met, so the emitted count
     matches the binomial draw exactly.  The loop terminates quickly in the
@@ -247,8 +261,8 @@ def _weighted_distinct_pairs(count: int, mem_a: np.ndarray, wa: np.ndarray,
         need = count - chosen.size
         if need <= 0:
             break
-        i = rng.choice(mem_a, size=need, p=wa)
-        j = rng.choice(mem_b, size=need, p=wb)
+        i = mem_a[cdf_a.searchsorted(rng.random(need), side="right")]
+        j = mem_b[cdf_b.searchsorted(rng.random(need), side="right")]
         if within:
             lo, hi = np.minimum(i, j), np.maximum(i, j)
             keep = lo != hi
@@ -285,6 +299,8 @@ def _sample_edges_streamed(cfg: SBMConfig, labels: np.ndarray,
     members = [order[bounds[b]:bounds[b + 1]] for b in range(num_blocks)]
     sums = np.array([theta[m].sum() for m in members])
     sq_sums = np.array([(theta[m] ** 2).sum() for m in members])
+    cdfs = [_theta_cdf(theta[m] / total) if m.size else m
+            for m, total in zip(members, sums)]
 
     src_parts: List[np.ndarray] = []
     dst_parts: List[np.ndarray] = []
@@ -293,7 +309,6 @@ def _sample_edges_streamed(cfg: SBMConfig, labels: np.ndarray,
         na = mem_a.size
         if na == 0:
             continue
-        wa = theta[mem_a] / sums[a]
         for b in range(a, num_blocks):
             mem_b = members[b]
             nb = mem_b.size
@@ -324,9 +339,8 @@ def _sample_edges_streamed(cfg: SBMConfig, labels: np.ndarray,
             if count == 0:
                 continue
             count = min(count, npairs)
-            wb = theta[mem_b] / sums[b]
-            u, v = _weighted_distinct_pairs(count, mem_a, wa, mem_b, wb,
-                                            within, rng, encode=n)
+            u, v = _weighted_distinct_pairs(count, mem_a, cdfs[a], mem_b,
+                                            cdfs[b], within, rng, encode=n)
             src_parts.append(u)
             dst_parts.append(v)
     src = (np.concatenate(src_parts) if src_parts

@@ -5,7 +5,7 @@ from .batch import GraphBatch
 from .algorithms import (adjacency_lists, bfs_distances, connected_components,
                          is_connected, largest_component, triangle_count)
 from .cache import BatchStructureCache, StructureCache
-from .csc import CSCGraph, SampledSubgraph, csc_cache_stats, sorted_unique
+from .csc import CSCGraph, SampledSubgraph, sorted_unique
 from .blocks import MessageFlowBlock, RowPlan, build_row_plan
 from .normalize import (degree_features, gcn_edge_weight_parts,
                         gcn_normalization, normalize_edges,
@@ -13,7 +13,7 @@ from .normalize import (degree_features, gcn_edge_weight_parts,
 
 __all__ = [
     "Graph", "GraphBatch", "BatchStructureCache", "StructureCache",
-    "CSCGraph", "SampledSubgraph", "csc_cache_stats", "sorted_unique",
+    "CSCGraph", "SampledSubgraph", "sorted_unique",
     "MessageFlowBlock", "RowPlan", "build_row_plan",
     "adjacency_lists", "bfs_distances", "connected_components",
     "is_connected", "largest_component",

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blocks import canonical_csr, csr_add, csr_matmul
+from .csc import CSCGraph
 from .graph import Graph
 
 
@@ -74,11 +75,19 @@ def bfs_distances(graph: Graph, source: int, max_depth: int | None = None) -> np
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component label per node (labels are 0..C-1 in discovery order)."""
-    adj = graph.adjacency(weighted=False)
-    n_components, labels = sp.csgraph.connected_components(
-        adj, directed=False, return_labels=True)
-    del n_components
+    """Component label per node (labels are 0..C-1 in discovery order).
+
+    The edge list's CSC arrays are handed to ``scipy.sparse.csgraph`` as
+    a CSR matrix: that is the reversed graph, whose undirected components
+    are the same, and it skips the COO conversion and duplicate summing
+    of :meth:`Graph.adjacency`.
+    """
+    n = graph.num_nodes
+    csc = CSCGraph.from_edge_index(graph.edge_index, n)
+    adj = sp.csr_matrix((np.ones(csc.num_edges), csc.indices, csc.indptr),
+                        shape=(n, n))
+    _, labels = sp.csgraph.connected_components(adj, directed=False,
+                                                return_labels=True)
     return labels.astype(np.int64)
 
 

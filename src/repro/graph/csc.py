@@ -39,16 +39,14 @@ same law.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .graph import Graph
 
-__all__ = ["CSCGraph", "SampledSubgraph", "csc_cache_stats",
-           "sorted_unique"]
+__all__ = ["CSCGraph", "SampledSubgraph", "sorted_unique"]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -148,16 +146,27 @@ class CSCGraph:
     @classmethod
     def from_edge_index(cls, edge_index: np.ndarray,
                         num_nodes: int) -> "CSCGraph":
-        """Build from a ``(2, E)`` COO edge list (kept as given, directed)."""
+        """Build from a ``(2, E)`` COO edge list (kept as given, directed).
+
+        Column-major order with each column's sources ascending: a
+        deterministic canonical layout (tests rely on it).  One int64 sort
+        of the keys ``dst * n + src`` gives it, and each key modulo ``n``
+        is its source.  Ids outside ``[0, num_nodes)`` would alias into
+        other columns, so they raise ``ValueError``.
+        """
         edge_index = np.asarray(edge_index, dtype=np.int64)
         if edge_index.size == 0:
             return cls(np.zeros(num_nodes + 1, dtype=np.int64),
                        np.zeros(0, dtype=np.int64), num_nodes)
+        if edge_index.min() < 0 or edge_index.max() >= num_nodes:
+            raise ValueError(f"edge ids must lie in [0, {num_nodes}), got "
+                             f"range [{edge_index.min()}, "
+                             f"{edge_index.max()}]")
         src, dst = edge_index
-        # Column-major order with sorted source lists per column: a
-        # deterministic canonical layout (tests rely on it).
-        order = np.lexsort((src, dst))
-        indices = src[order]
+        indices = dst * num_nodes
+        indices += src
+        indices.sort()
+        np.remainder(indices, num_nodes, out=indices)
         counts = np.bincount(dst, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -165,20 +174,10 @@ class CSCGraph:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSCGraph":
-        """Identity-cached build: the same :class:`Graph` object reuses
-        its CSC structure across trainer/eval/bench calls."""
-        entry = _CSC_CACHE.get(id(graph))
-        if entry is not None:
-            ref, csc = entry
-            if ref() is graph:
-                _CSC_STATS["hits"] += 1
-                return csc
-        _CSC_STATS["misses"] += 1
-        csc = cls.from_edge_index(graph.edge_index, graph.num_nodes)
-        key = id(graph)
-        _CSC_CACHE[key] = (weakref.ref(
-            graph, lambda _, key=key: _CSC_CACHE.pop(key, None)), csc)
-        return csc
+        """The CSC structure of ``graph``'s edge list, built afresh on
+        every call (:meth:`from_edge_index`), so an in-place edit of the
+        edges is always seen."""
+        return cls.from_edge_index(graph.edge_index, graph.num_nodes)
 
     # ------------------------------------------------------------------
     # Queries
@@ -304,14 +303,3 @@ class CSCGraph:
         return SampledSubgraph(nodes=nodes, edge_index=edge_index,
                                num_seeds=int(seeds.shape[0]),
                                indptr=indptr)
-
-
-#: Identity-keyed CSC structures (weakly held) + hit/miss counters,
-#: surfaced through the node trainer's ``cache_stats(model)`` report.
-_CSC_CACHE: Dict[int, Tuple[weakref.ref, CSCGraph]] = {}
-_CSC_STATS = {"hits": 0, "misses": 0}
-
-
-def csc_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the identity-keyed CSC structure cache."""
-    return dict(_CSC_STATS, entries=len(_CSC_CACHE))

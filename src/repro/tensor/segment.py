@@ -33,14 +33,21 @@ from .ops import exp, gather_rows
 from .tensor import DEFAULT_DTYPE, ArrayLike, Tensor
 
 
-def _check_ids(segment_ids: np.ndarray, num_segments: int, n_rows: int) -> np.ndarray:
+def _check_ids(segment_ids: np.ndarray, num_segments: int, n_rows: int,
+               planned: bool = False) -> np.ndarray:
+    """``segment_ids`` as int64, checked against ``values``' rows and the
+    segment range.  ``planned`` ops leave the range to the
+    :class:`~repro.tensor._segment_plans.SegmentReductionPlan` they build,
+    whose check raises the same error, so each op scans its ids once (a
+    serving replay reuses the plan its capture pass built and checked)."""
     ids = np.asarray(segment_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError(f"segment_ids must be 1-D, got shape {ids.shape}")
     if ids.shape[0] != n_rows:
         raise ValueError(f"segment_ids length {ids.shape[0]} does not match "
                          f"values rows {n_rows}")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+    if not planned and ids.size and (ids.min() < 0
+                                     or ids.max() >= num_segments):
         raise ValueError(f"segment ids must lie in [0, {num_segments}), got "
                          f"range [{ids.min()}, {ids.max()}]")
     return ids
@@ -69,10 +76,11 @@ def segment_sum(values: ArrayLike, segment_ids: np.ndarray,
     ``out[s] = Σ_{i : segment_ids[i] == s} values[i]``.
     """
     values = values if isinstance(values, Tensor) else Tensor(values)
-    ids = _check_ids(segment_ids, num_segments, values.data.shape[0])
+    fast = _plans.fast_kernels_enabled()
+    ids = _check_ids(segment_ids, num_segments, values.data.shape[0], fast)
     if _san.ENABLED:
         _san.check_segment_inputs("segment_sum", values.data, ids)
-    if _plans.fast_kernels_enabled():
+    if fast:
         plan = _plans.plan_for(ids, num_segments)
         out_data = plan.sum(values.data)
     else:
@@ -109,10 +117,10 @@ def segment_max(values: ArrayLike, segment_ids: np.ndarray,
     evenly among ties (the same subgradient convention as ``Tensor.max``).
     """
     values = values if isinstance(values, Tensor) else Tensor(values)
-    ids = _check_ids(segment_ids, num_segments, values.data.shape[0])
+    fast = _plans.fast_kernels_enabled()
+    ids = _check_ids(segment_ids, num_segments, values.data.shape[0], fast)
     if _san.ENABLED:
         _san.check_segment_inputs("segment_max", values.data, ids)
-    fast = _plans.fast_kernels_enabled()
     if fast:
         plan = _plans.plan_for(ids, num_segments)
         out_data = plan.max(values.data)
@@ -191,10 +199,11 @@ def segment_softmax(scores: ArrayLike, segment_ids: np.ndarray,
     product, identical to what autograd derives for the compositional form.
     """
     scores = scores if isinstance(scores, Tensor) else Tensor(scores)
-    ids = _check_ids(segment_ids, num_segments, scores.data.shape[0])
+    fast = _plans.fast_kernels_enabled()
+    ids = _check_ids(segment_ids, num_segments, scores.data.shape[0], fast)
     if _san.ENABLED:
         _san.check_segment_inputs("segment_softmax", scores.data, ids)
-    if not _plans.fast_kernels_enabled():
+    if not fast:
         return _segment_softmax_reference(scores, ids, num_segments)
 
     plan = _plans.plan_for(ids, num_segments)
@@ -233,7 +242,7 @@ def segment_normalize(values: ArrayLike, segment_ids: np.ndarray,
                       num_segments: int, eps: float = 1e-12) -> Tensor:
     """Divide each entry by the sum of its segment (L1 normalisation)."""
     values = values if isinstance(values, Tensor) else Tensor(values)
-    ids = _check_ids(segment_ids, num_segments, values.data.shape[0])
+    ids = np.asarray(segment_ids, dtype=np.int64)
     totals = segment_sum(values, ids, num_segments)
     totals_safe = totals + eps
     return values / gather_rows(totals_safe, ids)

@@ -16,8 +16,7 @@ from ..tensor.random import make_rng
 
 from ..core import sampled_reconstruction_loss, self_optimisation_loss
 from ..datasets import NodeDataset
-from ..graph import (CSCGraph, RowPlan, SampledSubgraph, csc_cache_stats,
-                     degree_features)
+from ..graph import CSCGraph, RowPlan, SampledSubgraph, degree_features
 from ..nn import Module, cross_entropy
 from ..optim import clip_grad_norm
 from ..tensor import Tensor, default_dtype, get_default_dtype, no_grad
@@ -99,7 +98,6 @@ class NodeClassificationTrainer:
             stats["training_tape"] = self._capture.stats()
         if self._sampler is not None:
             stats["sampler"] = self._sampler.stats()
-            stats["csc_cache"] = csc_cache_stats()
         return stats
 
     @staticmethod

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import (Graph, adjacency_lists, bfs_distances,
                          connected_components, is_connected,
@@ -87,6 +89,23 @@ class TestComponents:
 
     def test_empty_graph_is_connected(self):
         assert is_connected(Graph(np.zeros((2, 0)), num_nodes=0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 15).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=30))))
+    def test_labels_match_coo_adjacency(self, case):
+        """One-directional edges, duplicates and self-loops: the labels
+        equal those of ``Graph.adjacency()``'s COO-built matrix."""
+        n, pairs = case
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        g = Graph(edges, num_nodes=n)
+        _, want = sp.csgraph.connected_components(
+            g.adjacency(weighted=False), directed=False)
+        got = connected_components(g)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestMisc:

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.graph import CSCGraph, Graph, csc_cache_stats, sorted_unique
+from repro.graph import CSCGraph, Graph, sorted_unique
 from repro.graph.csc import SampledSubgraph
 
 
@@ -84,9 +84,58 @@ class TestLayout:
         with pytest.raises(IndexError):
             csc.neighbors(3)
 
+    @pytest.mark.parametrize("edges", [[[3], [0]], [[0], [3]],
+                                       [[-1], [0]], [[0], [-1]]])
+    def test_out_of_range_edge_ids_rejected(self, edges):
+        """A source id of n would alias into the next column's keys."""
+        with pytest.raises(ValueError, match=r"ids must lie in \[0, 3\)"):
+            CSCGraph.from_edge_index(np.array(edges, dtype=np.int64), 3)
+
     def test_invalid_indptr_rejected(self):
         with pytest.raises(ValueError):
             CSCGraph(np.array([0, 1]), np.zeros(0, dtype=np.int64), 3)
+
+
+def lexsort_csc(edge_index: np.ndarray, num_nodes: int):
+    """The CSC build by one lexsort over (destination, source): the
+    reference the key sort must reproduce."""
+    src, dst = np.asarray(edge_index, dtype=np.int64)
+    order = np.lexsort((src, dst))
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=num_nodes), out=indptr[1:])
+    return indptr, src[order]
+
+
+@st.composite
+def edge_lists(draw):
+    """Directed edge lists with duplicates, self-loops and isolated
+    nodes, on 1 to 12 nodes, possibly with no edges."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T, n
+
+
+class TestBuildOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    @example((np.zeros((2, 0), dtype=np.int64), 1))
+    @example((np.zeros((2, 0), dtype=np.int64), 4))
+    @example((np.array([[0, 0], [0, 0]], dtype=np.int64), 1))
+    def test_key_sort_matches_lexsort(self, case):
+        edge_index, n = case
+        csc = CSCGraph.from_edge_index(edge_index, n)
+        indptr, indices = lexsort_csc(edge_index, n)
+        assert csc.indptr.dtype == indptr.dtype == np.int64
+        assert csc.indices.dtype == indices.dtype == np.int64
+        assert np.array_equal(csc.indptr, indptr)
+        assert np.array_equal(csc.indices, indices)
+
+    def test_input_edge_list_untouched(self):
+        edges = random_symmetric_graph(30, 90, seed=14)
+        kept = edges.copy()
+        CSCGraph.from_edge_index(edges, 30)
+        assert np.array_equal(edges, kept)
 
 
 class TestSampleNeighbors:
@@ -336,16 +385,16 @@ class TestEgoNet:
 
 
 class TestCache:
-    def test_from_graph_identity_cache(self):
-        edges = random_symmetric_graph(20, 60, seed=12)
-        graph = Graph(edges, num_nodes=20)
-        before = csc_cache_stats()
-        a = CSCGraph.from_graph(graph)
-        b = CSCGraph.from_graph(graph)
-        after = csc_cache_stats()
-        assert a is b
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"] + 1
+    def test_from_graph_sees_in_place_edit(self):
+        """No identity cache: an edited edge list gets a fresh build."""
+        graph = Graph(np.array([[1, 2, 0], [0, 1, 2]], dtype=np.int64),
+                      num_nodes=3)
+        before = CSCGraph.from_graph(graph)
+        assert np.array_equal(before.indptr, [0, 1, 2, 3])
+        graph.edge_index[1, :] = 0
+        after = CSCGraph.from_graph(graph)
+        assert np.array_equal(after.indptr, [0, 3, 3, 3])
+        assert np.array_equal(after.indices, [0, 1, 2])
 
     def test_distinct_graphs_distinct_structures(self):
         edges = random_symmetric_graph(20, 60, seed=13)

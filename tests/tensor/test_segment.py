@@ -1,12 +1,15 @@
 """Segment-op tests: forward semantics, gradients, and invariants."""
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tensor import (Tensor, assert_gradients_close, segment_count,
-                          segment_max, segment_mean, segment_normalize,
-                          segment_softmax, segment_sum)
+from repro.tensor import (Tensor, assert_gradients_close, naive_kernels,
+                          no_grad, segment_count, segment_max, segment_mean,
+                          segment_normalize, segment_softmax, segment_sum)
+from repro.tensor.workspace import Workspace, use_workspace
 
 
 @pytest.fixture
@@ -158,3 +161,24 @@ def test_property_segment_mean_matches_numpy(n, seed):
         members = values[ids == seg]
         expected = members.mean(axis=0) if members.size else np.zeros(2)
         assert np.allclose(out.data[seg], expected)
+
+
+@pytest.mark.parametrize("op", [segment_sum, segment_max, segment_softmax])
+@pytest.mark.parametrize("mode", ["fast", "naive", "workspace"])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_ids_raise_on_every_path(op, mode, bad):
+    """One range check per op, ahead of the kernels: the same error with
+    the reference kernels, the fast plans, and inside a serving
+    workspace (whose capture pass builds the plans)."""
+    ids = np.array([0, bad, 2, 1])
+    message = (r"segment ids must lie in \[0, 3\), got range "
+               rf"\[{min(bad, 0)}, {max(bad, 2)}\]")
+    scores = Tensor(np.arange(4.0))
+    with ExitStack() as stack:
+        if mode == "naive":
+            stack.enter_context(naive_kernels())
+        if mode == "workspace":
+            stack.enter_context(no_grad())
+            stack.enter_context(use_workspace(Workspace()))
+        with pytest.raises(ValueError, match=message):
+            op(scores, ids, 3)
